@@ -6,7 +6,6 @@ import sys
 from importlib import resources
 
 from hypmid import render, script
-from hypmid.cli import _script_model
 
 
 def main() -> int:
@@ -18,7 +17,7 @@ def main() -> int:
             continue
         program = script.parse(entry.read_text(encoding="utf-8"))
         result = script.evaluate(program)
-        svg = render.render_script_result(_script_model(program), result.bindings, result.outputs)
+        svg = render.render_script_result(script.program_model(program), result.bindings, result.outputs)
         target = outdir / (entry.name.removesuffix(".hgc") + ".svg")
         target.write_text(svg, encoding="utf-8")
         print(f"wrote {target}")

@@ -39,11 +39,18 @@ def _point(text: str) -> Point2:
 
 
 def default_tolerance() -> Tolerance:
-    """Default eps_incidence, overridable through the HYPMID_TOL variable."""
+    """Default eps_incidence, overridable through the HYPMID_TOL variable.
+
+    A value that is not a number, or is below eps_degenerate, is a usage error.
+    """
     env = os.environ.get("HYPMID_TOL")
-    if env:
+    if not env:
+        return Tolerance()
+    try:
         return Tolerance(eps_incidence=float(env))
-    return Tolerance()
+    except ValueError as exc:
+        print(f"error: HYPMID_TOL={env!r}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
 
 
 def _fmt_pt(p: Point2) -> str:
@@ -165,26 +172,6 @@ def cmd_script(args) -> int:
     return EXIT_OK if result.all_assertions_pass() else EXIT_ERROR
 
 
-def _script_model(program: script.Program) -> Model:
-    # a script names its model in geodesic/oracle/equal_rho calls; default to disk
-    def walk(node):
-        if isinstance(node, script.Call):
-            for arg in node.args:
-                if isinstance(arg, str) and arg in ("h2", "b2"):
-                    yield arg
-                else:
-                    yield from walk(arg)
-
-    for item in program.statements():
-        exprs = [item.expr] if isinstance(item, script.Binding) else []
-        if isinstance(item, script.Assertion):
-            exprs = [item.check]
-        for expr in exprs:
-            for tag in walk(expr):
-                return Model(tag)
-    return Model.DISK
-
-
 def cmd_render(args) -> int:
     tol = default_tolerance()
     if args.size <= 0:
@@ -195,7 +182,7 @@ def cmd_render(args) -> int:
         if args.script:
             program = _load_script(args.script)
             result = script.evaluate(program, tol)
-            svg = render.render_script_result(_script_model(program), result.bindings, result.outputs, spec)
+            svg = render.render_script_result(script.program_model(program), result.bindings, result.outputs, spec)
         else:
             if args.x is None or args.y is None or args.model is None:
                 print("error: render needs either --script or --model/--x/--y", file=sys.stderr)

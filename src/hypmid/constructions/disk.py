@@ -27,7 +27,7 @@ from ..geom2d import (
     nearest_to,
 )
 from ..hypmetric import Model, geodesic_of, require_in_domain, rho_disk
-from .trace import ConstructionTrace, MidpointResult, TraceBuilder, make_midpoint_result
+from .trace import ConstructionTrace, MidpointResult, TraceBuilder, check_pair, make_midpoint_result
 
 UNIT_CIRCLE = Circle2(ORIGIN, 1.0)
 
@@ -47,23 +47,22 @@ def _builder(method_id: str, x: Point2, y: Point2, tol: Tolerance) -> TraceBuild
     return TraceBuilder(Model.DISK, method_id, {"x": x, "y": y, "unit": UNIT_CIRCLE, "origin": ORIGIN}, tol)
 
 
-def _check_pair(x: Point2, y: Point2, tol: Tolerance) -> None:
-    require_in_domain(Model.DISK, x, y)
-    if (x - y).norm() <= tol.eps_degenerate * (1.0 + x.norm() + y.norm()):
-        raise DegenerateInput(f"midpoint needs distinct points, got {x} ~ {y}")
-
-
 def _collinearity_margin(x: Point2, y: Point2) -> float:
     return abs(x.cross(y)) / (1.0 + x.norm() * y.norm())
 
 
-def _check_generic(x: Point2, y: Point2, tol: Tolerance) -> None:
-    """Preconditions shared by the bisector circle and methods I-VI."""
-    _check_pair(x, y, tol)
+def _check_noncollinear(x: Point2, y: Point2, tol: Tolerance) -> None:
+    """Preconditions of every construction on the carrier S(a, r_a)."""
+    check_pair(Model.DISK, x, y, tol)
     if x.norm() <= tol.eps_degenerate or y.norm() <= tol.eps_degenerate:
         raise CollinearWithOrigin("x and y must be nonzero")
     if _collinearity_margin(x, y) <= tol.eps_degenerate:
         raise CollinearWithOrigin(f"0, {x}, {y} are collinear")
+
+
+def _check_generic(x: Point2, y: Point2, tol: Tolerance) -> None:
+    """Preconditions shared by the bisector circle and methods I-VI."""
+    _check_noncollinear(x, y, tol)
     if abs(x.norm() - y.norm()) <= tol.eps_degenerate:
         raise EqualModuli(f"|x| = |y| = {x.norm()!r}; the bisector circle degenerates")
 
@@ -87,8 +86,8 @@ def _ideal_endpoint_refs(b: TraceBuilder, x: Point2, y: Point2) -> None:
     """Record x_*, y_* = carrier n S1 ordered so x_*, x, y, y_* follow the arc."""
     g = geodesic_of(Model.DISK, x, y, b.tol)
     xsub, ysub = g.ideal_endpoints
-    b.intersect_unit_ortho("carrier", nearest_to(xsub), "xsub", "x_*")
-    b.intersect_unit_ortho("carrier", nearest_to(ysub), "ysub", "y_*")
+    b.step("intersect_unit_ortho", "carrier", name="xsub", label="x_*", select=nearest_to(xsub))
+    b.step("intersect_unit_ortho", "carrier", name="ysub", label="y_*", select=nearest_to(ysub))
 
 
 def b2_case1(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
@@ -97,21 +96,21 @@ def b2_case1(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResu
     m, m-bar (and n, n-bar) are the unit-circle points of the chords through
     x (and y) perpendicular to the diameter; same-side points are paired.
     """
-    _check_pair(x, y, tol)
+    check_pair(Model.DISK, x, y, tol)
     if _collinearity_margin(x, y) > tol.eps_degenerate:
         raise NotOnDiameter(f"0, {x}, {y} are not collinear")
     b = _builder("b2-case1", x, y, tol)
-    ld = b.line("x", "y", "Ld", "L(x,y)")
+    ld = b.step("line", "x", "y", name="Ld", label="L(x,y)")
     side = ld.n  # unit normal; chord roots sit at +/- this direction
-    b.perpendicular("Ld", "x", "Lx", "L(x)")
-    b.perpendicular("Ld", "y", "Ly", "L(y)")
-    b.intersect("Lx", "unit", nearest_to(x + side), "m")
-    b.intersect("Lx", "unit", nearest_to(x - side), "mb", "m̄")
-    b.intersect("Ly", "unit", nearest_to(y + side), "n")
-    b.intersect("Ly", "unit", nearest_to(y - side), "nb", "n̄")
-    b.line("m", "nb", "L1", "L(m,n̄)")
-    b.line("mb", "n", "L2", "L(m̄,n)")
-    b.intersect("L1", "L2", nearest_to(x), "z")
+    b.step("perp", "Ld", "x", name="Lx", label="L(x)")
+    b.step("perp", "Ld", "y", name="Ly", label="L(y)")
+    b.step("intersect", "Lx", "unit", name="m", select=nearest_to(x + side))
+    b.step("intersect", "Lx", "unit", name="mb", label="m̄", select=nearest_to(x - side))
+    b.step("intersect", "Ly", "unit", name="n", select=nearest_to(y + side))
+    b.step("intersect", "Ly", "unit", name="nb", label="n̄", select=nearest_to(y - side))
+    b.step("line", "m", "nb", name="L1", label="L(m,n̄)")
+    b.step("line", "mb", "n", name="L2", label="L(m̄,n)")
+    b.step("intersect", "L1", "L2", name="z", select=nearest_to(x))
     return make_midpoint_result(b, x, y, "z")
 
 
@@ -124,19 +123,19 @@ def b2_method_I(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointR
     """
     _check_generic(x, y, tol)
     b = _builder("b2-I", x, y, tol)
-    b.invert_unit("x", "xsup", "x^*")
-    b.invert_unit("y", "ysup", "y^*")
-    b.circle_ortho_xy("x", "y", "carrier", "S¹(a,r_a)")
-    b.line("x", "y", "Lxy", "L(x,y)")
-    b.line("xsup", "ysup", "Lsup", "L(x^*,y^*)")
+    b.step("invert", "x", name="xsup", label="x^*")
+    b.step("invert", "y", name="ysup", label="y^*")
+    b.step("ortho_circle", "x", "y", name="carrier", label="S¹(a,r_a)")
+    b.step("line", "x", "y", name="Lxy", label="L(x,y)")
+    b.step("line", "xsup", "ysup", name="Lsup", label="L(x^*,y^*)")
     try:
-        b.intersect("Lxy", "Lsup", nearest_to(x), "w")
+        b.step("intersect", "Lxy", "Lsup", name="w", select=nearest_to(x))
     except ParallelLines as exc:
         raise MethodInapplicable("EqualModuli", f"chords of method I are parallel: {exc}") from exc
-    b.circle_diameter("w", "origin", "Cth", "Thales circle on [w,0]")
-    b.intersect("Cth", "unit", nearest_to(x), "ptan", "tangency point")
-    b.circle_center_through("w", "ptan", "Cw", "S¹(w,r_w)")
-    b.intersect("Cw", "carrier", IN_DISK, "z")
+    b.step("circle_diameter", "w", "origin", name="Cth", label="Thales circle on [w,0]")
+    b.step("intersect", "Cth", "unit", name="ptan", label="tangency point", select=nearest_to(x))
+    b.step("circle", "w", "ptan", name="Cw", label="S¹(w,r_w)")
+    b.step("intersect", "Cw", "carrier", name="z", select=IN_DISK)
     return make_midpoint_result(b, x, y, "z")
 
 
@@ -153,23 +152,23 @@ def b2_methods_II_to_VI(x: Point2, y: Point2, which: str, tol: Tolerance = DEFAU
     b = _builder(f"b2-{which}", x, y, tol)
     needed = {p1, q1, p2, q2}
     if "xsup" in needed:
-        b.invert_unit("x", "xsup", "x^*")
+        b.step("invert", "x", name="xsup", label="x^*")
     if "ysup" in needed:
-        b.invert_unit("y", "ysup", "y^*")
-    b.circle_ortho_xy("x", "y", "carrier", "S¹(a,r_a)")
+        b.step("invert", "y", name="ysup", label="y^*")
+    b.step("ortho_circle", "x", "y", name="carrier", label="S¹(a,r_a)")
     if needed & {"xsub", "ysub"}:
         _ideal_endpoint_refs(b, x, y)
     pretty = {"x": "x", "y": "y", "xsub": "x_*", "ysub": "y_*", "xsup": "x^*", "ysup": "y^*"}
-    b.line(p1, q1, "La", f"L({pretty[p1]},{pretty[q1]})")
-    b.line(p2, q2, "Lb", f"L({pretty[p2]},{pretty[q2]})")
+    b.step("line", p1, q1, name="La", label=f"L({pretty[p1]},{pretty[q1]})")
+    b.step("line", p2, q2, name="Lb", label=f"L({pretty[p2]},{pretty[q2]})")
     try:
-        g = b.intersect("La", "Lb", nearest_to(x), "g", label)
+        g = b.step("intersect", "La", "Lb", name="g", label=label, select=nearest_to(x))
     except ParallelLines as exc:
         raise MethodInapplicable("ParallelLines", f"method {which} chords are parallel: {exc}") from exc
     if g.norm() <= tol.eps_degenerate:
         raise MethodInapplicable("AuxiliaryAtOrigin", f"auxiliary point {label} coincides with 0")
-    b.line("origin", "g", "Lg", f"L(0,{label})")
-    b.intersect_radius_ortho("Lg", "carrier", IN_DISK, "z")
+    b.step("line", "origin", "g", name="Lg", label=f"L(0,{label})")
+    b.step("intersect_radius_ortho", "Lg", "carrier", name="z", select=IN_DISK)
     return make_midpoint_result(b, x, y, "z")
 
 
@@ -179,19 +178,14 @@ def b2_equal_moduli(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Midpo
     With |x| = |y| the perpendicular to L(x,y) through 0 is exactly L(0, a),
     so no center needs to be extracted.
     """
-    _check_pair(x, y, tol)
-    require_in_domain(Model.DISK, x, y)
-    if x.norm() <= tol.eps_degenerate or y.norm() <= tol.eps_degenerate:
-        raise CollinearWithOrigin("x and y must be nonzero")
-    if _collinearity_margin(x, y) <= tol.eps_degenerate:
-        raise CollinearWithOrigin(f"0, {x}, {y} are collinear")
+    _check_noncollinear(x, y, tol)
     if abs(x.norm() - y.norm()) > tol.eps_degenerate:
         raise MethodInapplicable("ModuliDiffer", f"|x| != |y| ({x.norm()!r} vs {y.norm()!r})")
     b = _builder("b2-equal-moduli", x, y, tol)
-    b.circle_ortho_xy("x", "y", "carrier", "S¹(a,r_a)")
-    b.line("x", "y", "Lxy", "L(x,y)")
-    b.perpendicular("Lxy", "origin", "La", "L(0,a)")
-    b.intersect_radius_ortho("La", "carrier", IN_DISK, "z")
+    b.step("ortho_circle", "x", "y", name="carrier", label="S¹(a,r_a)")
+    b.step("line", "x", "y", name="Lxy", label="L(x,y)")
+    b.step("perp", "Lxy", "origin", name="La", label="L(0,a)")
+    b.step("intersect_radius_ortho", "La", "carrier", name="z", select=IN_DISK)
     return make_midpoint_result(b, x, y, "z")
 
 
@@ -219,10 +213,10 @@ def scale_sequence(x1: Point2, n: int, tol: Tolerance = DEFAULT_TOL) -> PointCha
     if x1.norm() <= tol.eps_degenerate:
         raise DegenerateInput("X1 must be distinct from the origin")
     b = TraceBuilder(Model.DISK, "b2-chain", {"X1": x1, "unit": UNIT_CIRCLE, "origin": ORIGIN}, tol)
-    axis = b.line("origin", "X1", "L0", "L(0,X₁)")
+    axis = b.step("line", "origin", "X1", name="L0", label="L(0,X₁)")
     side = axis.n
-    b.perpendicular("L0", "origin", "K0", "L_{0X₁}(0)")
-    b.intersect("K0", "unit", nearest_to(ORIGIN + side), "M0", "M₀")
+    b.step("perp", "L0", "origin", name="K0", label="L_{0X₁}(0)")
+    b.step("intersect", "K0", "unit", name="M0", label="M₀", select=nearest_to(ORIGIN + side))
     points = [x1]
     for k in range(1, n):
         xk = points[-1]
@@ -230,15 +224,15 @@ def scale_sequence(x1: Point2, n: int, tol: Tolerance = DEFAULT_TOL) -> PointCha
             raise ChainSaturated(
                 f"X_{k} is within 1e-12 of the boundary; cannot continue", last_index=k
             )
-        b.perpendicular("L0", f"X{k}", f"K{k}", f"L_{{0X₁}}(X{k})")
-        b.intersect(f"K{k}", "unit", nearest_to(xk + side), f"M{k}", f"M{k}")
-        b.line(f"M{k - 1}", f"X{k}", f"C{k + 1}", f"L(M{k - 1},X{k})")
+        b.step("perp", "L0", f"X{k}", name=f"K{k}", label=f"L_{{0X₁}}(X{k})")
+        b.step("intersect", f"K{k}", "unit", name=f"M{k}", label=f"M{k}", select=nearest_to(xk + side))
+        b.step("line", f"M{k - 1}", f"X{k}", name=f"C{k + 1}", label=f"L(M{k - 1},X{k})")
         prev_m = b.env[f"M{k - 1}"]
         roots = b.both_roots(f"C{k + 1}", "unit")
         second = max(roots, key=lambda p: (p - prev_m).norm())
-        b.intersect(f"C{k + 1}", "unit", nearest_to(second), f"N{k + 1}", f"N{k + 1}")
-        b.perpendicular("L0", f"N{k + 1}", f"Kn{k + 1}", f"L_{{0X₁}}(N{k + 1})")
-        nxt = b.intersect(f"Kn{k + 1}", "L0", nearest_to(xk), f"X{k + 1}", f"X{k + 1}")
+        b.step("intersect", f"C{k + 1}", "unit", name=f"N{k + 1}", label=f"N{k + 1}", select=nearest_to(second))
+        b.step("perp", "L0", f"N{k + 1}", name=f"Kn{k + 1}", label=f"L_{{0X₁}}(N{k + 1})")
+        nxt = b.step("intersect", f"Kn{k + 1}", "L0", name=f"X{k + 1}", label=f"X{k + 1}", select=nearest_to(xk))
         points.append(nxt)
     trace = b.finish(f"X{n}" if n > 1 else "X1", points[-1])
     return PointChain(base=x1, points=tuple(points), c=rho_disk(ORIGIN, x1), trace=trace)

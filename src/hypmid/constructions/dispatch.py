@@ -33,7 +33,7 @@ def _angles_result(x: Point2, y: Point2, tol: Tolerance) -> MidpointResult:
     # closed-form method: record the carrier for rendering, then the formula z
     z = midpoint_disk_angles(x, y, tol)
     b = TraceBuilder(Model.DISK, "b2-angles", {"x": x, "y": y, "unit": disk.UNIT_CIRCLE}, tol)
-    b.circle_ortho_xy("x", "y", "carrier", "S¹(a,r_a)")
+    b.step("ortho_circle", "x", "y", name="carrier", label="S¹(a,r_a)")
     b.env["z"] = z
     return make_midpoint_result(b, x, y, "z")
 

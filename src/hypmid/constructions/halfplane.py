@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from ..errors import DegenerateInput, MethodInapplicable, NotVerticallyAligned
+from ..errors import MethodInapplicable, NotVerticallyAligned
 from ..geom2d import (
     DEFAULT_TOL,
     UPPER,
@@ -19,8 +19,8 @@ from ..geom2d import (
     Tolerance,
     nearest_to,
 )
-from ..hypmetric import Model, require_in_domain
-from .trace import MidpointResult, TraceBuilder, make_midpoint_result
+from ..hypmetric import Model
+from .trace import MidpointResult, TraceBuilder, check_pair, make_midpoint_result
 
 AXIS = Line2(Point2(0.0, 1.0), 0.0)
 
@@ -29,22 +29,14 @@ def _builder(method_id: str, x: Point2, y: Point2, tol: Tolerance) -> TraceBuild
     return TraceBuilder(Model.HALF_PLANE, method_id, {"x": x, "y": y, "axis": AXIS}, tol)
 
 
-def _check_pair(x: Point2, y: Point2, tol: Tolerance) -> float:
-    require_in_domain(Model.HALF_PLANE, x, y)
-    scale = 1.0 + x.norm() + y.norm()
-    if (x - y).norm() <= tol.eps_degenerate * scale:
-        raise DegenerateInput(f"midpoint needs distinct points, got {x} ~ {y}")
-    return scale
-
-
 def _carrier_circle(b: TraceBuilder):
     """Paper step 'construct the circle through x, y orthogonal to the boundary'.
 
     Drawn as the circle through x, y and the mirror image of x, whose center
     is therefore on the real axis.
     """
-    b.reflect_real("x", "xbar", "x̄")
-    return b.circle_through3("x", "y", "xbar", "carrier", "S¹(o,r)")
+    b.step("reflect_real", "x", name="xbar", label="x̄")
+    return b.step("circle_through", "x", "y", "xbar", name="carrier", label="S¹(o,r)")
 
 
 def _require_circular(x: Point2, y: Point2, scale: float, tol: Tolerance) -> None:
@@ -62,30 +54,30 @@ def h2_case1(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResu
     itself constructed), the circle around o through their intersection, and
     finally its upper intersection with the line.
     """
-    scale = _check_pair(x, y, tol)
+    scale = check_pair(Model.HALF_PLANE, x, y, tol)
     if abs(x.x1 - y.x1) > tol.eps_degenerate * scale:
         raise NotVerticallyAligned(f"x1 differs: {x.x1!r} vs {y.x1!r}")
     if x.x2 > y.x2:
         x, y = y, x
     b = _builder("h2-case1", x, y, tol)
-    b.line("x", "y", "Lxy", "L(x,y)")
-    b.intersect("Lxy", "axis", nearest_to(x), "o")
-    b.circle_diameter("x", "y", "C1", "S¹((x+y)/2,|x-y|/2)")
+    b.step("line", "x", "y", name="Lxy", label="L(x,y)")
+    b.step("intersect", "Lxy", "axis", name="o", select=nearest_to(x))
+    b.step("circle_diameter", "x", "y", name="C1", label="S¹((x+y)/2,|x-y|/2)")
 
     # Euclidean midpoint of [x, y] by compass: two circles, their chord, the line
-    b.circle_center_through("x", "y", "Cx")
-    b.circle_center_through("y", "x", "Cy")
+    b.step("circle", "x", "y", name="Cx")
+    b.step("circle", "y", "x", name="Cy")
     span = (y - x).norm()
     side = Point2(x.x1 + span, (x.x2 + y.x2) / 2.0)
-    b.intersect("Cx", "Cy", nearest_to(side), "p")
-    b.intersect("Cx", "Cy", nearest_to(Point2(x.x1 - span, side.x2)), "q")
-    b.line("p", "q", "Lpq", "L(p,q)")
-    b.intersect("Lpq", "Lxy", nearest_to(x), "n")
+    b.step("intersect", "Cx", "Cy", name="p", select=nearest_to(side))
+    b.step("intersect", "Cx", "Cy", name="q", select=nearest_to(Point2(x.x1 - span, side.x2)))
+    b.step("line", "p", "q", name="Lpq", label="L(p,q)")
+    b.step("intersect", "Lpq", "Lxy", name="n", select=nearest_to(x))
 
-    b.circle_diameter("o", "n", "C2", "S¹((o+n)/2,|o-n|/2)")
-    b.intersect("C1", "C2", nearest_to(Point2(x.x1 + y.x2, x.x2)), "a")
-    b.circle_center_through("o", "a", "C3", "S¹(o,|a|)")
-    b.intersect("Lxy", "C3", UPPER, "z")
+    b.step("circle_diameter", "o", "n", name="C2", label="S¹((o+n)/2,|o-n|/2)")
+    b.step("intersect", "C1", "C2", name="a", select=nearest_to(Point2(x.x1 + y.x2, x.x2)))
+    b.step("circle", "o", "a", name="C3", label="S¹(o,|a|)")
+    b.step("intersect", "Lxy", "C3", name="z", select=UPPER)
     return make_midpoint_result(b, x, y, "z")
 
 
@@ -95,22 +87,22 @@ def h2_method_I(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointR
     w is the boundary point of the chord L(x, y); the method is inapplicable
     when the chord is parallel to the boundary (equal heights).
     """
-    scale = _check_pair(x, y, tol)
+    scale = check_pair(Model.HALF_PLANE, x, y, tol)
     _require_circular(x, y, scale, tol)
     if abs(x.x2 - y.x2) <= tol.eps_degenerate * scale:
         raise MethodInapplicable("ParallelChord", "L(x,y) is parallel to the boundary; w does not exist")
     b = _builder("h2-I", x, y, tol)
     carrier = _carrier_circle(b)
-    b.line("x", "y", "Lxy", "L(x,y)")
-    b.intersect("Lxy", "axis", nearest_to(x), "w")
-    b.circle_diameter("w", "carrier", "Cd", "S¹((w+o)/2,|w-o|/2)")
-    b.intersect("Cd", "carrier", UPPER, "z")
+    b.step("line", "x", "y", name="Lxy", label="L(x,y)")
+    b.step("intersect", "Lxy", "axis", name="w", select=nearest_to(x))
+    b.step("circle_diameter", "w", "carrier", name="Cd", label="S¹((w+o)/2,|w-o|/2)")
+    b.step("intersect", "Cd", "carrier", name="z", select=UPPER)
     return make_midpoint_result(b, x, y, "z")
 
 
 def h2_method_II(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
     """Ideal-chord method: z above v = L(x, x_*) n L(y, y_*)."""
-    scale = _check_pair(x, y, tol)
+    scale = check_pair(Model.HALF_PLANE, x, y, tol)
     _require_circular(x, y, scale, tol)
     b = _builder("h2-II", x, y, tol)
     carrier = _carrier_circle(b)
@@ -119,13 +111,13 @@ def h2_method_II(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Midpoint
     phi_x = math.atan2(x.x2, x.x1 - o1)
     phi_y = math.atan2(y.x2, y.x1 - o1)
     xstar, ystar = (right, left) if phi_x < phi_y else (left, right)
-    b.intersect("carrier", "axis", nearest_to(xstar), "xs", "x_*")
-    b.intersect("carrier", "axis", nearest_to(ystar), "ys", "y_*")
-    b.line("x", "xs", "Lx", "L(x,x_*)")
-    b.line("y", "ys", "Ly", "L(y,y_*)")
-    b.intersect("Lx", "Ly", nearest_to(x), "v")
-    b.perpendicular("axis", "v", "Lv", "L(v)")
-    b.intersect("Lv", "carrier", UPPER, "z")
+    b.step("intersect", "carrier", "axis", name="xs", label="x_*", select=nearest_to(xstar))
+    b.step("intersect", "carrier", "axis", name="ys", label="y_*", select=nearest_to(ystar))
+    b.step("line", "x", "xs", name="Lx", label="L(x,x_*)")
+    b.step("line", "y", "ys", name="Ly", label="L(y,y_*)")
+    b.step("intersect", "Lx", "Ly", name="v", select=nearest_to(x))
+    b.step("perp", "axis", "v", name="Lv", label="L(v)")
+    b.step("intersect", "Lv", "carrier", name="z", select=UPPER)
     return make_midpoint_result(b, x, y, "z")
 
 
@@ -135,31 +127,31 @@ def h2_method_III(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Midpoin
     S(a, r_a) passes through x, y orthogonally to the carrier, so its center
     is the intersection of the carrier tangents at x and y.
     """
-    scale = _check_pair(x, y, tol)
+    scale = check_pair(Model.HALF_PLANE, x, y, tol)
     _require_circular(x, y, scale, tol)
     b = _builder("h2-III", x, y, tol)
     _carrier_circle(b)
-    b.line("carrier", "x", "Lox", "L(o,x)")
-    b.line("carrier", "y", "Loy", "L(o,y)")
-    b.perpendicular("Lox", "x", "Tx", "tangent at x")
-    b.perpendicular("Loy", "y", "Ty", "tangent at y")
-    b.intersect("Tx", "Ty", nearest_to(x), "a")
-    b.circle_center_through("a", "x", "Sa", "S¹(a,r_a)")
-    b.perpendicular("axis", "a", "La", "L(a)")
-    b.intersect("La", "carrier", UPPER, "z")
+    b.step("line", "carrier", "x", name="Lox", label="L(o,x)")
+    b.step("line", "carrier", "y", name="Loy", label="L(o,y)")
+    b.step("perp", "Lox", "x", name="Tx", label="tangent at x")
+    b.step("perp", "Loy", "y", name="Ty", label="tangent at y")
+    b.step("intersect", "Tx", "Ty", name="a", select=nearest_to(x))
+    b.step("circle", "a", "x", name="Sa", label="S¹(a,r_a)")
+    b.step("perp", "axis", "a", name="La", label="L(a)")
+    b.step("intersect", "La", "carrier", name="z", select=UPPER)
     return make_midpoint_result(b, x, y, "z")
 
 
 def h2_method_IV(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
     """Reflected-chord method: z above z1 = L(x, y-bar) n L(x-bar, y)."""
-    scale = _check_pair(x, y, tol)
+    scale = check_pair(Model.HALF_PLANE, x, y, tol)
     _require_circular(x, y, scale, tol)
     b = _builder("h2-IV", x, y, tol)
     _carrier_circle(b)  # also produces xbar
-    b.reflect_real("y", "ybar", "ȳ")
-    b.line("x", "ybar", "L1", "L(x,ȳ)")
-    b.line("xbar", "y", "L2", "L(x̄,y)")
-    b.intersect("L1", "L2", nearest_to(Point2(x.x1, 0.0)), "z1")
-    b.perpendicular("axis", "z1", "Lz1", "L(z₁)")
-    b.intersect("Lz1", "carrier", UPPER, "z")
+    b.step("reflect_real", "y", name="ybar", label="ȳ")
+    b.step("line", "x", "ybar", name="L1", label="L(x,ȳ)")
+    b.step("line", "xbar", "y", name="L2", label="L(x̄,y)")
+    b.step("intersect", "L1", "L2", name="z1", select=nearest_to(Point2(x.x1, 0.0)))
+    b.step("perp", "axis", "z1", name="Lz1", label="L(z₁)")
+    b.step("intersect", "Lz1", "carrier", name="z", select=UPPER)
     return make_midpoint_result(b, x, y, "z")

@@ -4,6 +4,11 @@ Every midpoint construction records the primitive steps it performs (lines,
 circles, intersections, perpendiculars, reflections, inversions) so figures
 and audits always reflect the actual construction, not a closed form.
 
+Each primitive is one row of :data:`OPS`, keyed by its ``.hgc`` function
+name.  :class:`TraceBuilder`, :func:`replay` and the ``.hgc`` evaluator all
+run primitives through :func:`run_op`, so a recorded step and the script line
+that names the same op on the same inputs compute the same value.
+
 Step inputs are names of previously produced objects or of the initial data.
 Where a step needs a point and the named object is a circle, the circle's
 center is used: once a circle is drawn its center is known, and the paper's
@@ -15,8 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from ..errors import GeometryError, NoIntersection
+from ..errors import DegenerateInput, GeometryError, NoIntersection
 from ..geom2d import (
     BOTH,
     DEFAULT_TOL,
@@ -28,36 +34,39 @@ from ..geom2d import (
     _apply_selector,
     circle_on_diameter,
     circle_through,
+    circles_orthogonal,
+    collinear,
     dot2,
     intersect_circle_circle,
     intersect_line_circle,
     intersect_line_line,
     invert_unit,
     is_on,
+    line_circle_orthogonal,
+    line_tangent_to_circle,
     line_through,
+    lines_orthogonal,
     perpendicular_through,
     reflect_in_line,
 )
-from ..hypmetric import Model, geodesic_of, ortho_circle_through, rho
-
-LINE = "line"
-CIRCLE = "circle"
-INTERSECT_LL = "intersect_ll"
-INTERSECT_LC = "intersect_lc"
-INTERSECT_CC = "intersect_cc"
-PERPENDICULAR = "perpendicular"
-REFLECT = "reflect"
-INVERT = "invert"
-
-# circle-step construction modes carried in ConstructionStep.data
-_DIAMETER = "diameter"
-_THROUGH3 = "through3"
-_CENTER_THROUGH = "center_through"
-_ORTHO_XY = "ortho_xy"
+from ..hypmetric import (
+    Geodesic,
+    Model,
+    geodesic_of,
+    midpoint_oracle,
+    ortho_circle_through,
+    require_in_domain,
+    rho,
+)
 
 
-@dataclass(frozen=True)
-class ConstructionStep:
+class ConstructionStep(NamedTuple):
+    """One primitive run: ``kind`` is its op name, ``data`` its selector if any.
+
+    A named tuple, not a frozen dataclass: it is built once per step, and a
+    frozen dataclass costs about 1 us more to build.
+    """
+
     kind: str
     inputs: tuple[str, ...]
     produces: str
@@ -116,6 +125,19 @@ def make_midpoint_result(builder: "TraceBuilder", x: Point2, y: Point2, z_name: 
     )
 
 
+def check_pair(model: Model, x: Point2, y: Point2, tol: Tolerance) -> float:
+    """Require two distinct points of the model; returns their scale 1 + |x| + |y|."""
+    require_in_domain(model, x, y)
+    scale = 1.0 + x.norm() + y.norm()
+    if (x - y).norm() <= tol.eps_degenerate * scale:
+        raise DegenerateInput(f"midpoint needs distinct points, got {x} ~ {y}")
+    return scale
+
+
+# ---------------------------------------------------------------------------
+# Argument kinds: each coerces an object to what the primitive takes.
+
+
 def _as_point(value) -> Point2:
     if isinstance(value, Circle2):
         return value.center
@@ -124,8 +146,176 @@ def _as_point(value) -> Point2:
     raise GeometryError(f"expected a point (or circle center), got {type(value).__name__}")
 
 
+def _as_curve(value):
+    if isinstance(value, (Line2, Circle2)):
+        return value
+    if isinstance(value, Geodesic):
+        return value.carrier
+    raise GeometryError(f"expected a line, circle or geodesic, got {type(value).__name__}")
+
+
+def _as_line(value) -> Line2:
+    value = _as_curve(value)
+    if not isinstance(value, Line2):
+        raise GeometryError(f"expected a line, got {type(value).__name__}")
+    return value
+
+
+def _as_circle(value) -> Circle2:
+    value = _as_curve(value)
+    if not isinstance(value, Circle2):
+        raise GeometryError(f"expected a circle, got {type(value).__name__}")
+    return value
+
+
+def _as_radius(value):
+    return value if isinstance(value, float) else _as_point(value)
+
+
+def _as_selector(selector: Selector) -> Selector:
+    if selector.anchor is None or isinstance(selector.anchor, Point2):
+        return selector
+    return Selector(selector.kind, _as_point(selector.anchor))
+
+
+# kind -> (types passed on unchanged, coercion of any other value)
+_KINDS = {
+    "point": ({Point2}, _as_point),
+    "line": ({Line2}, _as_line),
+    "circle": ({Circle2}, _as_circle),
+    "curve": ({Line2, Circle2}, _as_curve),
+    "radius": ({float, Point2}, _as_radius),  # a number, or a point the circle passes through
+    "model": ({Model}, Model),
+    "selector": (set(), _as_selector),  # written after the call in .hgc: select ...
+}
+
+
+class Op:
+    """One primitive: its callable, argument kinds and result kind.
+
+    ``fn`` takes the arguments, coerced to ``kinds``, then the tolerance.  The
+    ``result`` kind is point, line, circle, geodesic or residual (an assertion).
+    """
+
+    __slots__ = ("fn", "kinds", "result", "_coerce")
+
+    def __init__(self, fn, kinds: tuple[str, ...], result: str):
+        self.fn = fn
+        self.kinds = kinds
+        self.result = result
+        self._coerce = tuple(_KINDS[kind] for kind in kinds)
+
+
+# ---------------------------------------------------------------------------
+# Callables of the rows that are more than one primitive call.  Every row
+# reaches geom2d and hypmetric through this module's globals, never through a
+# reference held in the row, so a patched primitive is seen by every front end.
+
+_AXIS_NORMAL = Point2(0.0, 1.0)
+
+
+def _circle(center: Point2, through, tol: Tolerance) -> Circle2:
+    radius = through if isinstance(through, float) else (through - center).norm()
+    return Circle2(center, radius)
+
+
+def _intersect(a, b, selector: Selector, tol: Tolerance):
+    if isinstance(a, Line2):
+        if isinstance(b, Line2):
+            value = intersect_line_line(a, b, tol)
+            return _apply_selector([value], selector, tol, 1.0 + value.norm())
+        return intersect_line_circle(a, b, selector, tol)
+    if isinstance(b, Line2):
+        return intersect_line_circle(b, a, selector, tol)
+    return intersect_circle_circle(a, b, selector, tol)
+
+
+def _unit_ortho_intersection(circle: Circle2, selector: Selector, tol: Tolerance):
+    """Intersect a circle orthogonal to S1 with S1 via its radical line p.a = 1.
+
+    Exact for orthogonal circles and scale-free, where the generic
+    circle-circle routine hits the representation floor of huge carriers.
+    """
+    a = circle.center
+    aa = a.norm_sq()
+    if aa < 1.0:
+        raise NoIntersection("the radical line p.a = 1 misses the unit circle")
+    base = a * (1.0 / aa)
+    h = math.sqrt(max(1.0 - 1.0 / aa, 0.0))
+    perp = a.perp() * (1.0 / a.norm())
+    return _apply_selector([base + perp * h, base - perp * h], selector, tol, 1.0 + circle.radius)
+
+
+def _radius_ortho_intersection(line: Line2, circle: Circle2, selector: Selector, tol: Tolerance):
+    """Intersect a line through 0 with a circle orthogonal to S1.
+
+    The intersection points form an inversion pair t, 1/t along the line,
+    which sidesteps the half-chord cancellation on near-straight carriers.
+    """
+    if abs(line.c) > tol.eps_incidence:
+        raise GeometryError(f"{line} does not pass through the origin")
+    # points t*d on the line through 0 with |t*d - a| = r and |a|^2 - r^2 = 1
+    # solve t^2 - 2 t (d.a) + 1 = 0; the roots are an inversion pair t, 1/t
+    d = line.direction()
+    a = circle.center
+    q = dot2(d.x1, a.x1, d.x2, a.x2)
+    if abs(q) < 1.0:
+        raise NoIntersection("radius line misses the orthogonal circle")
+    s = math.sqrt(max((abs(q) - 1.0) * (abs(q) + 1.0), 0.0))
+    t_out = math.copysign(abs(q) + s, q)
+    candidates = [d * (1.0 / t_out), d * t_out]
+    return _apply_selector(candidates, selector, tol, 1.0 + abs(q))
+
+
+def _orthogonal(a, b, tol: Tolerance) -> float:
+    if isinstance(a, Circle2) and isinstance(b, Circle2):
+        return circles_orthogonal(a, b, tol).residual
+    if isinstance(a, Line2) and isinstance(b, Line2):
+        return lines_orthogonal(a, b, tol).residual
+    line, circ = (a, b) if isinstance(a, Line2) else (b, a)
+    return line_circle_orthogonal(line, circ, tol).residual
+
+
+_P = "point"  # the commonest argument kind
+
+# every primitive of the kit, keyed by its .hgc function name
+OPS: dict[str, Op] = {
+    "line": Op(lambda p, q, tol: line_through(p, q, tol), (_P, _P), "line"),
+    "perp": Op(lambda l, p, tol: perpendicular_through(l, p), ("line", _P), "line"),
+    "circle": Op(_circle, (_P, "radius"), "circle"),
+    "circle_through": Op(lambda p, q, r, tol: circle_through(p, q, r, tol), (_P, _P, _P), "circle"),
+    "circle_diameter": Op(lambda p, q, tol: circle_on_diameter(p, q, tol), (_P, _P), "circle"),
+    # drawn from its closed-form center, accurate even for near-diameter carriers
+    "ortho_circle": Op(lambda x, y, tol: ortho_circle_through(x, y, tol).as_circle(), (_P, _P), "circle"),
+    "geodesic": Op(lambda m, x, y, tol: geodesic_of(m, x, y, tol), ("model", _P, _P), "geodesic"),
+    "invert": Op(lambda p, tol: invert_unit(p, tol), (_P,), _P),
+    "reflect_real": Op(lambda p, tol: reflect_in_line(p, _AXIS_NORMAL, 0.0), (_P,), _P),
+    "midpoint_oracle": Op(lambda m, x, y, tol: midpoint_oracle(m, x, y, tol), ("model", _P, _P), _P),
+    "intersect": Op(_intersect, ("curve", "curve", "selector"), _P),
+    "intersect_unit_ortho": Op(_unit_ortho_intersection, ("circle", "selector"), _P),
+    "intersect_radius_ortho": Op(_radius_ortho_intersection, ("line", "circle", "selector"), _P),
+    "on": Op(lambda p, c, tol: is_on(p, c, tol).residual, (_P, "curve"), "residual"),
+    "orthogonal": Op(_orthogonal, ("curve", "curve"), "residual"),
+    "tangent": Op(lambda l, c, tol: line_tangent_to_circle(l, c, tol).residual, ("line", "circle"), "residual"),
+    "collinear": Op(lambda p, q, r, tol: collinear(p, q, r, tol).residual, (_P, _P, _P), "residual"),
+    "equal_rho": Op(lambda m, a, b, c, d, tol: rho(m, a, b) - rho(m, c, d), ("model", _P, _P, _P, _P), "residual"),
+    "equals": Op(lambda p, q, tol: (p - q).norm(), (_P, _P), "residual"),
+}
+
+
+def run_op(op: str, values: list, tol: Tolerance = DEFAULT_TOL):
+    """Run primitive ``op`` on argument values (selector last), coerced by kind in place."""
+    row = OPS[op]
+    i = 0
+    for passed, coerce in row._coerce:
+        if type(values[i]) not in passed:
+            values[i] = coerce(values[i])
+        i += 1
+    return row.fn(*values, tol)
+
+
 class TraceBuilder:
-    """Executes geometry operations while recording them as steps."""
+    """Executes primitives from :data:`OPS` while recording them as steps."""
 
     def __init__(self, model: Model, method_id: str, initial: dict, tol: Tolerance = DEFAULT_TOL):
         self.model = model
@@ -135,83 +325,27 @@ class TraceBuilder:
         self._initial = tuple(initial.items())
         self.steps: list[ConstructionStep] = []
 
-    def _bind(self, kind, inputs, name, label, data, value):
-        if name in self.env:
+    def step(self, op: str, *refs: str, name: str, label: str | None = None, select: Selector | None = None):
+        """Run ``op`` on the named objects, bind its value to ``name`` and record it.
+
+        ``select`` is the root selector of an intersection op.
+        """
+        env = self.env
+        values = [env[ref] for ref in refs]
+        data = ()
+        if select is not None:
+            values.append(select)
+            data = (select,)
+        value = run_op(op, values, self.tol)
+        if name in env:
             raise GeometryError(f"construction name {name!r} already bound")
-        self.env[name] = value
-        self.steps.append(ConstructionStep(kind, tuple(inputs), name, label or name, tuple(data), value))
+        env[name] = value
+        self.steps.append(ConstructionStep(op, refs, name, label or name, data, value))
         return value
-
-    def point_of(self, ref: str) -> Point2:
-        return _as_point(self.env[ref])
-
-    def line(self, p_ref: str, q_ref: str, name: str, label: str | None = None) -> Line2:
-        value = line_through(self.point_of(p_ref), self.point_of(q_ref), self.tol)
-        return self._bind(LINE, (p_ref, q_ref), name, label, (), value)
-
-    def perpendicular(self, l_ref: str, p_ref: str, name: str, label: str | None = None) -> Line2:
-        value = perpendicular_through(self.env[l_ref], self.point_of(p_ref))
-        return self._bind(PERPENDICULAR, (l_ref, p_ref), name, label, (), value)
-
-    def circle_diameter(self, p_ref: str, q_ref: str, name: str, label: str | None = None) -> Circle2:
-        value = circle_on_diameter(self.point_of(p_ref), self.point_of(q_ref), self.tol)
-        return self._bind(CIRCLE, (p_ref, q_ref), name, label, (_DIAMETER,), value)
-
-    def circle_through3(self, p_ref: str, q_ref: str, r_ref: str, name: str, label: str | None = None) -> Circle2:
-        value = circle_through(self.point_of(p_ref), self.point_of(q_ref), self.point_of(r_ref), self.tol)
-        return self._bind(CIRCLE, (p_ref, q_ref, r_ref), name, label, (_THROUGH3,), value)
-
-    def circle_center_through(self, c_ref: str, t_ref: str, name: str, label: str | None = None) -> Circle2:
-        center = self.point_of(c_ref)
-        value = Circle2(center, (self.point_of(t_ref) - center).norm())
-        return self._bind(CIRCLE, (c_ref, t_ref), name, label, (_CENTER_THROUGH,), value)
-
-    def circle_ortho_xy(self, x_ref: str, y_ref: str, name: str, label: str | None = None) -> Circle2:
-        """Circle through x, y, x^*, y^* orthogonal to the unit circle.
-
-        Drawn from its closed-form center (the lemma names the center that
-        way), which stays accurate even for near-diameter carriers.
-        """
-        value = ortho_circle_through(self.point_of(x_ref), self.point_of(y_ref), self.tol).as_circle()
-        return self._bind(CIRCLE, (x_ref, y_ref), name, label, (_ORTHO_XY,), value)
-
-    def reflect_real(self, p_ref: str, name: str, label: str | None = None) -> Point2:
-        value = reflect_in_line(self.point_of(p_ref), Point2(0.0, 1.0), 0.0)
-        return self._bind(REFLECT, (p_ref,), name, label, ((0.0, 1.0), 0.0), value)
-
-    def invert_unit(self, p_ref: str, name: str, label: str | None = None) -> Point2:
-        value = invert_unit(self.point_of(p_ref), self.tol)
-        return self._bind(INVERT, (p_ref,), name, label, (), value)
-
-    def intersect(self, a_ref: str, b_ref: str, selector: Selector, name: str, label: str | None = None):
-        a, b = self.env[a_ref], self.env[b_ref]
-        kind, value = _run_intersection(a, b, selector, self.tol)
-        return self._bind(kind, (a_ref, b_ref), name, label, (selector,), value)
-
-    def intersect_unit_ortho(self, circle_ref: str, selector: Selector, name: str, label: str | None = None):
-        """Intersect a circle orthogonal to S1 with S1 via its radical line p.a = 1.
-
-        Exact for orthogonal circles and scale-free, where the generic
-        circle-circle routine hits the representation floor of huge carriers.
-        """
-        value = _unit_ortho_intersection(self.env[circle_ref], selector, self.tol)
-        return self._bind(INTERSECT_CC, (circle_ref, "unit"), name, label, ("unit_ortho", selector), value)
-
-    def intersect_radius_ortho(self, l_ref: str, c_ref: str, selector: Selector, name: str, label: str | None = None):
-        """Intersect a line through 0 with a circle orthogonal to S1.
-
-        The intersection points form an inversion pair t, 1/t along the
-        line, which sidesteps the half-chord cancellation on near-straight
-        carriers.
-        """
-        value = _radius_ortho_intersection(self.env[l_ref], self.env[c_ref], selector, self.tol)
-        return self._bind(INTERSECT_LC, (l_ref, c_ref), name, label, ("radius_ortho", selector), value)
 
     def both_roots(self, a_ref: str, b_ref: str) -> tuple:
         """Peek at both intersection points without recording a step."""
-        a, b = self.env[a_ref], self.env[b_ref]
-        _, value = _run_intersection(a, b, BOTH, self.tol)
-        return value if isinstance(value, tuple) else (value,)
+        return run_op("intersect", [self.env[a_ref], self.env[b_ref], BOTH], self.tol)
 
     def finish(self, result_name: str | None, result: Point2 | None = None) -> ConstructionTrace:
         if result is None:
@@ -226,42 +360,6 @@ class TraceBuilder:
         )
 
 
-def _unit_ortho_intersection(circle: Circle2, selector: Selector, tol: Tolerance):
-    a = circle.center
-    aa = a.norm_sq()
-    base = a * (1.0 / aa)
-    h = math.sqrt(max(1.0 - 1.0 / aa, 0.0))
-    perp = a.perp() * (1.0 / a.norm())
-    return _apply_selector([base + perp * h, base - perp * h], selector, tol, 1.0 + circle.radius)
-
-
-def _radius_ortho_intersection(line: Line2, circle: Circle2, selector: Selector, tol: Tolerance):
-    # points t*d on the line through 0 with |t*d - a| = r and |a|^2 - r^2 = 1
-    # solve t^2 - 2 t (d.a) + 1 = 0; the roots are an inversion pair t, 1/t
-    d = line.direction()
-    a = circle.center
-    q = dot2(d.x1, a.x1, d.x2, a.x2)
-    if abs(q) < 1.0:
-        raise NoIntersection("radius line misses the orthogonal circle")
-    s = math.sqrt(max((abs(q) - 1.0) * (abs(q) + 1.0), 0.0))
-    t_out = math.copysign(abs(q) + s, q)
-    candidates = [d * (1.0 / t_out), d * t_out]
-    return _apply_selector(candidates, selector, tol, 1.0 + abs(q))
-
-
-def _run_intersection(a, b, selector: Selector, tol: Tolerance):
-    if isinstance(a, Line2) and isinstance(b, Line2):
-        value = intersect_line_line(a, b, tol)
-        return INTERSECT_LL, _apply_selector([value], selector, tol, 1.0 + value.norm())
-    if isinstance(a, Line2) and isinstance(b, Circle2):
-        return INTERSECT_LC, intersect_line_circle(a, b, selector, tol)
-    if isinstance(a, Circle2) and isinstance(b, Line2):
-        return INTERSECT_LC, intersect_line_circle(b, a, selector, tol)
-    if isinstance(a, Circle2) and isinstance(b, Circle2):
-        return INTERSECT_CC, intersect_circle_circle(a, b, selector, tol)
-    raise GeometryError(f"cannot intersect {type(a).__name__} with {type(b).__name__}")
-
-
 def replay(trace: ConstructionTrace, tol: Tolerance = DEFAULT_TOL):
     """Re-execute the recorded steps; returns the final environment.
 
@@ -270,34 +368,5 @@ def replay(trace: ConstructionTrace, tol: Tolerance = DEFAULT_TOL):
     """
     env: dict[str, object] = dict(trace.initial)
     for step in trace.steps:
-        values = [env[ref] for ref in step.inputs]
-        if step.kind == LINE:
-            out = line_through(_as_point(values[0]), _as_point(values[1]), tol)
-        elif step.kind == PERPENDICULAR:
-            out = perpendicular_through(values[0], _as_point(values[1]))
-        elif step.kind == CIRCLE:
-            mode = step.data[0]
-            if mode == _DIAMETER:
-                out = circle_on_diameter(_as_point(values[0]), _as_point(values[1]), tol)
-            elif mode == _THROUGH3:
-                out = circle_through(_as_point(values[0]), _as_point(values[1]), _as_point(values[2]), tol)
-            elif mode == _ORTHO_XY:
-                out = ortho_circle_through(_as_point(values[0]), _as_point(values[1]), tol).as_circle()
-            else:
-                center = _as_point(values[0])
-                out = Circle2(center, (_as_point(values[1]) - center).norm())
-        elif step.kind == REFLECT:
-            (ax, ay), t = step.data
-            out = reflect_in_line(_as_point(values[0]), Point2(ax, ay), t)
-        elif step.kind == INVERT:
-            out = invert_unit(_as_point(values[0]), tol)
-        elif step.kind == INTERSECT_CC and step.data[0] == "unit_ortho":
-            out = _unit_ortho_intersection(values[0], step.data[1], tol)
-        elif step.kind == INTERSECT_LC and step.data[0] == "radius_ortho":
-            out = _radius_ortho_intersection(values[0], values[1], step.data[1], tol)
-        elif step.kind in (INTERSECT_LL, INTERSECT_LC, INTERSECT_CC):
-            _, out = _run_intersection(values[0], values[1], step.data[0], tol)
-        else:
-            raise GeometryError(f"unknown step kind {step.kind!r}")
-        env[step.produces] = out
+        env[step.produces] = run_op(step.kind, [env[ref] for ref in step.inputs] + list(step.data), tol)
     return env

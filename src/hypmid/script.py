@@ -13,14 +13,19 @@ Statement forms::
     circle NAME = circle(C, r) | circle(C, P) | circle_through(A, B, C)
                 | circle_diameter(A, B) | ortho_circle(A, B)
     geodesic NAME = geodesic(h2|b2, A, B)
-    NAME = intersect(A, B) select upper|in_disk|boundary|nearest P
+    NAME = intersect(A, B) | intersect_unit_ortho(C) | intersect_radius_ortho(L, C)
+           select upper|in_disk|boundary|nearest P
     NAME = invert(P) | reflect_real(P) | midpoint_oracle(h2|b2, A, B)
     assert on(P, C) | orthogonal(A, B) | tangent(L, C) | collinear(P, Q, R)
          | equal_rho(h2|b2, A, B, C, D) | equals(P, Q)   [tol NUMBER]
     output NAME
 
 The names ``unit`` (unit circle), ``axis`` (real axis) and ``origin`` are
-predefined.  Selectors are mandatory on every intersection.
+predefined.  Selectors are mandatory on every intersection.  A point argument
+may name a circle, which stands for its center.  The functions, their
+argument kinds and their result kinds are the rows of
+:data:`hypmid.constructions.trace.OPS`; the evaluator runs each call through
+:func:`~hypmid.constructions.trace.run_op`.
 """
 
 from __future__ import annotations
@@ -29,34 +34,10 @@ import math
 import re
 from dataclasses import dataclass, field
 
+from .constructions.trace import OPS, run_op
 from .errors import GeometryError
-from .geom2d import (
-    DEFAULT_TOL,
-    IN_DISK,
-    ON_BOUNDARY,
-    ORIGIN,
-    UPPER,
-    Circle2,
-    Line2,
-    Point2,
-    Selector,
-    Tolerance,
-    circle_on_diameter,
-    circle_through,
-    circles_orthogonal,
-    collinear,
-    invert_unit,
-    is_on,
-    line_circle_orthogonal,
-    line_tangent_to_circle,
-    line_through,
-    lines_orthogonal,
-    nearest_to,
-    perpendicular_through,
-    reflect_in_line,
-)
-from .hypmetric import Geodesic, Model, geodesic_of, midpoint_oracle, ortho_circle_through, rho
-from .constructions.trace import _run_intersection
+from .geom2d import DEFAULT_TOL, ORIGIN, Circle2, Line2, Point2, Selector, Tolerance
+from .hypmetric import Model
 
 BUILTINS = {
     "unit": Circle2(ORIGIN, 1.0),
@@ -96,12 +77,6 @@ class UnknownNameError(ScriptError):
         super().__init__(f"{where}unknown name {name!r}")
         self.line = line
         self.name = name
-
-
-class ArityError(ScriptError):
-    def __init__(self, line: int, fn: str, expected: int, got: int):
-        super().__init__(f"line {line}: {fn} takes {expected} argument(s), got {got}")
-        self.line = line
 
 
 class RuntimeGeometryError(ScriptError):
@@ -186,31 +161,6 @@ class Program:
                 yield item
 
 
-# valid argument counts; model-taking functions list the count incl. the tag
-_FN_ARITY = {
-    "line": 2,
-    "perp": 2,
-    "circle": 2,
-    "circle_through": 3,
-    "circle_diameter": 2,
-    "ortho_circle": 2,
-    "geodesic": 3,
-    "invert": 1,
-    "reflect_real": 1,
-    "midpoint_oracle": 3,
-    "intersect": 2,
-    "on": 2,
-    "orthogonal": 2,
-    "tangent": 2,
-    "collinear": 3,
-    "equal_rho": 5,
-    "equals": 2,
-}
-_MODEL_ARG = {"geodesic": 0, "midpoint_oracle": 0, "equal_rho": 0}
-_LINE_FNS = ("line", "perp")
-_CIRCLE_FNS = ("circle", "circle_through", "circle_diameter", "ortho_circle")
-_POINT_FNS = ("invert", "reflect_real", "midpoint_oracle", "intersect")
-_ASSERT_FNS = ("on", "orthogonal", "tangent", "collinear", "equal_rho", "equals")
 _SELECTOR_KEYWORDS = ("upper", "in_disk", "boundary", "nearest")
 
 _TOKEN_RE = re.compile(
@@ -305,20 +255,20 @@ def _parse_point_literal(p: _LineParser) -> PointLit:
     return PointLit(x, y)
 
 
-def _parse_arg(p: _LineParser, allow_number: bool = False):
+def _parse_arg(p: _LineParser, kind: str = "point"):
     tok = p.peek()
     if tok.kind == "punct" and tok.text == "(":
         return _parse_point_literal(p)
     if tok.kind == "number":
-        if not allow_number:
+        if kind != "radius":
             p.fail("a bare number is only valid as a circle radius")
         p.next()
         return float(tok.text)
     if tok.kind == "name":
         nxt = p.tokens[p.pos + 1] if p.pos + 1 < len(p.tokens) else None
-        if tok.text in _FN_ARITY and nxt is not None and nxt.kind == "punct" and nxt.text == "(":
-            if tok.text == "intersect":
-                p.fail("intersect(...) select ... cannot be nested; bind it to a name first")
+        if tok.text in OPS and nxt is not None and nxt.kind == "punct" and nxt.text == "(":
+            if "selector" in OPS[tok.text].kinds:
+                p.fail(f"{tok.text}(...) select ... cannot be nested; bind it to a name first")
             return _parse_call(p)
         p.next()
         return Ref(tok.text)
@@ -326,24 +276,32 @@ def _parse_arg(p: _LineParser, allow_number: bool = False):
 
 
 def _parse_call(p: _LineParser) -> Call:
+    """A call with its arguments as the table orders them; a selector comes after ')'."""
     fn = p.expect_name("function name")
-    if fn not in _FN_ARITY:
+    if fn not in OPS:
         p.pos -= 1
-        p.fail(f"unknown function {fn!r}", expected=tuple(sorted(_FN_ARITY)))
+        p.fail(f"unknown function {fn!r}", expected=tuple(sorted(OPS)))
     p.expect_punct("(")
     args: list = []
-    arity = _FN_ARITY[fn]
-    for i in range(arity):
-        if i > 0:
+    for kind in OPS[fn].kinds:
+        if kind == "selector":
+            p.expect_punct(")")
+            kw = p.expect_name("'select'")
+            if kw != "select":
+                p.pos -= 1
+                p.fail("every intersection needs a selector", expected=("select",))
+            args.append(_parse_selector(p))
+            return Call(fn, tuple(args))
+        if args:
             p.expect_punct(",")
-        if _MODEL_ARG.get(fn) == i:
+        if kind == "model":
             model = p.expect_name("model tag (h2 or b2)")
             if model not in ("h2", "b2"):
                 p.pos -= 1
                 p.fail("expected model tag", expected=("h2", "b2"))
             args.append(model)
         else:
-            args.append(_parse_arg(p, allow_number=(fn == "circle" and i == 1)))
+            args.append(_parse_arg(p, kind))
     p.expect_punct(")")
     return Call(fn, tuple(args))
 
@@ -390,8 +348,8 @@ class Parser:
         if head.text == "assert":
             p.next()
             check = _parse_call(p)
-            if check.fn not in _ASSERT_FNS:
-                p.fail(f"{check.fn!r} is not an assertion kind", expected=_ASSERT_FNS)
+            if OPS[check.fn].result != "residual":
+                p.fail(f"{check.fn!r} is not an assertion kind", expected=_fns_giving("residual"))
             tolerance = None
             if not p.at_end() and p.peek().kind == "name" and p.peek().text == "tol":
                 p.next()
@@ -416,9 +374,8 @@ class Parser:
                 expr = _parse_point_literal(p)
             else:
                 expr = _parse_call(p)
-                allowed = {"line": _LINE_FNS, "circle": _CIRCLE_FNS, "geodesic": ("geodesic",)}[keyword]
-                if expr.fn not in allowed:
-                    p.fail(f"a {keyword} binding needs one of {allowed}")
+                if OPS[expr.fn].result != keyword:
+                    p.fail(f"a {keyword} binding needs one of {_fns_giving(keyword)}")
             self._finish(p)
             self._check_refs(expr, lineno)
             self._bind(name, lineno)
@@ -428,15 +385,8 @@ class Parser:
         name = p.expect_name()
         p.expect_punct("=")
         expr = _parse_call(p)
-        if expr.fn not in _POINT_FNS:
-            p.fail(f"a bare binding needs one of {_POINT_FNS}")
-        if expr.fn == "intersect":
-            kw = p.expect_name("'select'")
-            if kw != "select":
-                p.pos -= 1
-                p.fail("every intersection needs a selector", expected=("select",))
-            selector = _parse_selector(p)
-            expr = Call("intersect", expr.args + (selector,))
+        if OPS[expr.fn].result != "point":
+            p.fail(f"a bare binding needs one of {_fns_giving('point')}")
         self._finish(p)
         self._check_refs(expr, lineno)
         self._bind(name, lineno)
@@ -445,6 +395,10 @@ class Parser:
     def _finish(self, p: _LineParser) -> None:
         if not p.at_end():
             p.fail("unexpected trailing input")
+
+
+def _fns_giving(result: str) -> tuple[str, ...]:
+    return tuple(fn for fn, op in OPS.items() if op.result == result)
 
 
 def parse(source: str) -> Program:
@@ -478,10 +432,10 @@ def _fmt_node(node) -> str:
             return f"nearest {_fmt_node(node.anchor)}"
         return node.kind
     if isinstance(node, Call):
-        if node.fn == "intersect" and len(node.args) == 3:
-            a, b, sel = node.args
-            return f"intersect({_fmt_node(a)}, {_fmt_node(b)}) select {_fmt_node(sel)}"
-        return f"{node.fn}({', '.join(_fmt_node(a) for a in node.args)})"
+        args = node.args
+        if args and isinstance(args[-1], SelectorNode):
+            return f"{node.fn}({', '.join(_fmt_node(a) for a in args[:-1])}) select {_fmt_node(args[-1])}"
+        return f"{node.fn}({', '.join(_fmt_node(a) for a in args)})"
     raise TypeError(f"cannot format {node!r}")
 
 
@@ -534,112 +488,40 @@ class EvaluationResult:
         return all(a.passed for a in self.assertions)
 
 
-def _carrier_of(value):
-    if isinstance(value, Geodesic):
-        return value.carrier
-    return value
+def _value(node, env: dict, tol: Tolerance):
+    """A node's value; run_op coerces each call's arguments to their kinds."""
+    if isinstance(node, PointLit):
+        return Point2(node.x, node.y)
+    if isinstance(node, Ref):
+        return env[node.name]
+    if isinstance(node, Call):
+        return run_op(node.fn, [_value(a, env, tol) for a in node.args], tol)
+    if isinstance(node, SelectorNode):
+        return Selector(node.kind, None if node.anchor is None else _value(node.anchor, env, tol))
+    return node  # radius number or model tag
 
 
-class _Evaluator:
-    def __init__(self, tol: Tolerance):
-        self.tol = tol
-        self.env: dict[str, object] = dict(BUILTINS)
+def program_model(program: Program) -> Model:
+    """The model named by the first model argument of a call; the disk if none."""
 
-    def value(self, node, lineno: int):
-        if isinstance(node, PointLit):
-            return Point2(node.x, node.y)
-        if isinstance(node, Ref):
-            return self.env[node.name]
-        if isinstance(node, float):
-            return node
+    def tags(node):
         if isinstance(node, Call):
-            return self.call(node, lineno)
-        raise TypeError(f"cannot evaluate {node!r}")
+            for kind, arg in zip(OPS[node.fn].kinds, node.args):
+                if kind == "model":
+                    yield arg
+                else:
+                    yield from tags(arg)
 
-    def point(self, node, lineno: int) -> Point2:
-        v = self.value(node, lineno)
-        if not isinstance(v, Point2):
-            raise RuntimeGeometryError(lineno, _fmt_node(node), GeometryError(f"expected a point, got {type(v).__name__}"))
-        return v
-
-    def _selector(self, node: SelectorNode, lineno: int) -> Selector:
-        if node.kind == "upper":
-            return UPPER
-        if node.kind == "in_disk":
-            return IN_DISK
-        if node.kind == "boundary":
-            return ON_BOUNDARY
-        return nearest_to(self.point(node.anchor, lineno))
-
-    def call(self, call: Call, lineno: int):
-        fn, args = call.fn, call.args
-        tol = self.tol
-        if fn == "line":
-            return line_through(self.point(args[0], lineno), self.point(args[1], lineno), tol)
-        if fn == "perp":
-            base = _carrier_of(self.value(args[0], lineno))
-            if not isinstance(base, Line2):
-                raise RuntimeGeometryError(lineno, _fmt_node(call), GeometryError("perp needs a line first"))
-            return perpendicular_through(base, self.point(args[1], lineno))
-        if fn == "circle":
-            center = self.point(args[0], lineno)
-            second = self.value(args[1], lineno)
-            radius = second if isinstance(second, float) else (second - center).norm()
-            return Circle2(center, radius)
-        if fn == "circle_through":
-            return circle_through(*(self.point(a, lineno) for a in args), tol)
-        if fn == "circle_diameter":
-            return circle_on_diameter(self.point(args[0], lineno), self.point(args[1], lineno), tol)
-        if fn == "ortho_circle":
-            return ortho_circle_through(self.point(args[0], lineno), self.point(args[1], lineno), tol).as_circle()
-        if fn == "geodesic":
-            model = Model(args[0])
-            return geodesic_of(model, self.point(args[1], lineno), self.point(args[2], lineno), tol)
-        if fn == "invert":
-            return invert_unit(self.point(args[0], lineno), tol)
-        if fn == "reflect_real":
-            return reflect_in_line(self.point(args[0], lineno), Point2(0.0, 1.0), 0.0)
-        if fn == "midpoint_oracle":
-            model = Model(args[0])
-            return midpoint_oracle(model, self.point(args[1], lineno), self.point(args[2], lineno), tol)
-        if fn == "intersect":
-            a = _carrier_of(self.value(args[0], lineno))
-            b = _carrier_of(self.value(args[1], lineno))
-            selector = self._selector(args[2], lineno)
-            _, value = _run_intersection(a, b, selector, tol)
-            return value
-        raise TypeError(f"unknown function {fn!r}")
-
-    def residual(self, check: Call, lineno: int) -> float:
-        fn, args = check.fn, check.args
-        tol = self.tol
-        if fn == "on":
-            carrier = _carrier_of(self.value(args[1], lineno))
-            return is_on(self.point(args[0], lineno), carrier, tol).residual
-        if fn == "orthogonal":
-            a = _carrier_of(self.value(args[0], lineno))
-            b = _carrier_of(self.value(args[1], lineno))
-            if isinstance(a, Circle2) and isinstance(b, Circle2):
-                return circles_orthogonal(a, b, tol).residual
-            if isinstance(a, Line2) and isinstance(b, Line2):
-                return lines_orthogonal(a, b, tol).residual
-            line, circ = (a, b) if isinstance(a, Line2) else (b, a)
-            return line_circle_orthogonal(line, circ, tol).residual
-        if fn == "tangent":
-            l = _carrier_of(self.value(args[0], lineno))
-            c = _carrier_of(self.value(args[1], lineno))
-            if not (isinstance(l, Line2) and isinstance(c, Circle2)):
-                raise RuntimeGeometryError(lineno, _fmt_node(check), GeometryError("tangent needs (line, circle)"))
-            return line_tangent_to_circle(l, c, tol).residual
-        if fn == "collinear":
-            return collinear(*(self.point(a, lineno) for a in args), tol).residual
-        if fn == "equal_rho":
-            model = Model(args[0])
-            pts = [self.point(a, lineno) for a in args[1:]]
-            return rho(model, pts[0], pts[1]) - rho(model, pts[2], pts[3])
-        if fn == "equals":
-            return (self.point(args[0], lineno) - self.point(args[1], lineno)).norm()
-        raise TypeError(f"unknown assertion {fn!r}")
+    for item in program.statements():
+        if isinstance(item, Binding):
+            expr = item.expr
+        elif isinstance(item, Assertion):
+            expr = item.check
+        else:
+            continue
+        for tag in tags(expr):
+            return Model(tag)
+    return Model.DISK
 
 
 def evaluate(
@@ -661,7 +543,7 @@ def evaluate(
         for name in bind:
             if name not in literal_points:
                 raise UnknownNameError(name)
-    ev = _Evaluator(tol)
+    env: dict[str, object] = dict(BUILTINS)
     assertions: list[AssertionOutcome] = []
     outputs: list[tuple[str, object]] = []
     for item in program.items:
@@ -670,17 +552,13 @@ def evaluate(
                 if item.keyword == "point" and bind and item.name in bind:
                     value = bind[item.name]
                 else:
-                    value = ev.value(item.expr, item.line)
-            except RuntimeGeometryError:
-                raise
+                    value = _value(item.expr, env, tol)
             except (GeometryError, ValueError) as exc:
                 raise RuntimeGeometryError(item.line, _fmt_item(item), exc) from exc
-            ev.env[item.name] = value
+            env[item.name] = value
         elif isinstance(item, Assertion):
             try:
-                residual = ev.residual(item.check, item.line)
-            except RuntimeGeometryError:
-                raise
+                residual = _value(item.check, env, tol)
             except (GeometryError, ValueError) as exc:
                 raise RuntimeGeometryError(item.line, _fmt_item(item), exc) from exc
             tolerance = item.tolerance if item.tolerance is not None else tol.eps_incidence
@@ -694,5 +572,5 @@ def evaluate(
                 )
             )
         elif isinstance(item, Output):
-            outputs.append((item.name, ev.env[item.name]))
-    return EvaluationResult(bindings=ev.env, assertions=tuple(assertions), outputs=tuple(outputs))
+            outputs.append((item.name, env[item.name]))
+    return EvaluationResult(bindings=env, assertions=tuple(assertions), outputs=tuple(outputs))

@@ -172,6 +172,17 @@ def test_tolerance_env_override(monkeypatch):
     assert cli.default_tolerance().eps_incidence == 1e-9
 
 
+@pytest.mark.parametrize("value", ["abc", "1e-15"])
+def test_bad_tolerance_env_is_usage_error(monkeypatch, capsys, value):
+    # "1e-15" is below eps_degenerate, which Tolerance refuses
+    monkeypatch.setenv("HYPMID_TOL", value)
+    code, out, err = run(capsys, "midpoint", "--model", "b2", "--x", "0.5,0", "--y", "0,0.25")
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: HYPMID_TOL=")
+    assert "Traceback" not in err
+
+
 def test_json_output_is_sorted_and_stable(capsys):
     code1, out1, _ = run(capsys, "midpoint", "--model", "b2", "--x", "0.5,0", "--y", "0,0.25")
     code2, out2, _ = run(capsys, "midpoint", "--model", "b2", "--x", "0.5,0", "--y", "0,0.25")

@@ -19,7 +19,8 @@ from hypmid.constructions import (
     midpoint,
     scale_sequence,
 )
-from hypmid.constructions.trace import replay
+from hypmid import script
+from hypmid.constructions.trace import OPS, replay
 from hypmid.errors import (
     ChainSaturated,
     CollinearWithOrigin,
@@ -313,6 +314,58 @@ class TestTraces:
         chain = scale_sequence(Point2(0.4, 0.2), 4)
         env = replay(chain.trace)
         assert env["X4"] == chain.points[-1]
+
+
+# the cases of test_replay_bit_identical plus the chain
+SCRIPT_CASES = {
+    "h2_case1": lambda: h2_case1(Point2(2, 1), Point2(2, 4)).trace,
+    "h2_I": lambda: h2_method_I(Point2(1, 1), Point2(2.5, 0.7)).trace,
+    "h2_IV": lambda: h2_method_IV(Point2(1, 1), Point2(2.5, 0.7)).trace,
+    "b2_I": lambda: b2_method_I(Point2(0.5, 0), Point2(0, 0.25)).trace,
+    "b2_V": lambda: b2_methods_II_to_VI(Point2(0.5, 0), Point2(0, 0.25), "V").trace,
+    "b2_case1": lambda: b2_case1(Point2(0.1, 0.1), Point2(0.3, 0.3)).trace,
+    "b2_equal": lambda: b2_equal_moduli(Point2(0.5, 0.1), Point2(0.1, 0.5)).trace,
+    "chain": lambda: scale_sequence(Point2(0.4, 0.2), 4).trace,
+}
+
+
+def trace_as_hgc(trace) -> str:
+    """A recorded construction as .hgc text: one binding per step, then its output."""
+    lines = []
+    for name, value in trace.initial:
+        if name in script.BUILTINS:
+            assert script.BUILTINS[name] == value
+        else:
+            lines.append(f"point {name} = ({value.x1!r}, {value.x2!r})")
+    for step in trace.steps:
+        result = OPS[step.kind].result
+        head = step.produces if result == "point" else f"{result} {step.produces}"
+        text = f"{head} = {step.kind}({', '.join(step.inputs)})"
+        for selector in step.data:
+            anchor = selector.anchor
+            text += f" select {selector.kind}" if anchor is None else f" select nearest ({anchor.x1!r}, {anchor.x2!r})"
+        lines.append(text)
+    lines.append(f"output {trace.result_name}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("case", sorted(SCRIPT_CASES))
+def test_trace_as_script_evaluates_bit_identically(case):
+    trace = SCRIPT_CASES[case]()
+    result = script.evaluate(script.parse(trace_as_hgc(trace)))
+    for step in trace.steps:
+        assert result.bindings[step.produces] == step.result, step
+    assert result.outputs == ((trace.result_name, trace.result),)
+
+
+def test_recorded_step_kinds_are_table_keys():
+    x, y = Point2(0.5, 0.1), Point2(0.1, 0.3)
+    traces = [make() for make in SCRIPT_CASES.values()]
+    traces += [midpoint(Model.DISK, x, y, m).trace for m in ("II", "III", "IV", "VI", "angles")]
+    traces += [f(Point2(1, 1), Point2(2.5, 0.7)).trace for f in (h2_method_II, h2_method_III)]
+    kinds = {step.kind for trace in traces for step in trace.steps}
+    assert kinds <= set(OPS)
+    assert {"intersect_unit_ortho", "intersect_radius_ortho", "reflect_real", "circle"} <= kinds
 
 
 def test_moebius_transport_halfplane_to_disk():

@@ -6,7 +6,9 @@ from importlib import resources
 import pytest
 
 from hypmid import script
+from hypmid.constructions.trace import OPS
 from hypmid.geom2d import Point2
+from hypmid.hypmetric import Model
 
 BROKEN_DIR = pathlib.Path(__file__).parent / "fixtures" / "broken"
 
@@ -122,6 +124,17 @@ class TestEvaluation:
             script.evaluate(script.parse(src))
         assert err.value.line == 4
 
+    @pytest.mark.parametrize(
+        "statement",
+        ["p = intersect_unit_ortho(C) select upper", "p = intersect_radius_ortho(line(c, (2.0, 1.0)), S) select in_disk"],
+    )
+    def test_ortho_intersection_preconditions(self, statement):
+        # C's radical line with the unit circle misses it; S is orthogonal, but the line misses 0
+        src = f"point c = (2.0, 0.0)\ncircle C = circle(origin, 0.5)\ncircle S = circle(c, {3 ** 0.5!r})\n{statement}\n"
+        with pytest.raises(script.RuntimeGeometryError) as err:
+            script.evaluate(script.parse(src))
+        assert err.value.line == 4
+
     def test_failed_assertion_is_fail_soft(self):
         src = (
             "point x = (0.5, 0.0)\n"
@@ -138,6 +151,40 @@ class TestEvaluation:
         src = "point x = (0.5, 0.0)\npoint y = (0.5, 1e-6)\nassert equals(x, y) tol 0.001\n"
         result = script.evaluate(script.parse(src))
         assert result.all_assertions_pass()
+
+
+# a sample value of each argument kind, bound by OP_PRELUDE
+KIND_SAMPLES = {"point": "x", "line": "L", "circle": "C", "curve": "C", "radius": "0.5", "model": "b2"}
+OP_PRELUDE = "point x = (0.5, 0.25)\nline L = line(x, origin)\ncircle C = circle(origin, 0.5)\n"
+
+
+@pytest.mark.parametrize("fn", sorted(OPS))
+def test_every_table_op_parses(fn):
+    op = OPS[fn]
+    call = f"{fn}({', '.join(KIND_SAMPLES[k] for k in op.kinds if k != 'selector')})"
+    if "selector" in op.kinds:
+        call += " select nearest x"
+    statement = {"point": f"r = {call}", "residual": f"assert {call}"}.get(op.result, f"{op.result} r = {call}")
+    program = script.parse(OP_PRELUDE + statement + "\n")
+    last = list(program.statements())[-1]
+    assert (last.check if op.result == "residual" else last.expr).fn == fn
+    assert script.parse(script.format_program(program)) == program
+
+
+def test_circle_stands_for_its_center():
+    src = "point x = (0.5, 0.0)\ncircle C = circle(x, 0.25)\nassert equals(C, x)\nline L = line(C, origin)\noutput L\n"
+    result = script.evaluate(script.parse(src))
+    assert result.all_assertions_pass()
+    assert result.bindings["L"] == script.evaluate(script.parse(src.replace("line(C,", "line(x,"))).bindings["L"]
+
+
+@pytest.mark.parametrize(
+    "source, model",
+    [(SAMPLE, Model.DISK), ("point x = (0.5, 1.0)\ngeodesic G = geodesic(h2, x, (1.0, 2.0))\n", Model.HALF_PLANE),
+     ("point x = (0.5, 1.0)\n", Model.DISK)],
+)
+def test_program_model(source, model):
+    assert script.program_model(script.parse(source)) is model
 
 
 class TestCorpus:

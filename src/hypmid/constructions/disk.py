@@ -26,8 +26,8 @@ from ..geom2d import (
     Tolerance,
     nearest_to,
 )
-from ..hypmetric import Model, geodesic_of, require_in_domain, rho_disk
-from .trace import ConstructionTrace, MidpointResult, TraceBuilder, check_pair, make_midpoint_result
+from ..hypmetric import Model, PairKind, geodesic_of, pair_kind, require_in_domain, rho_disk
+from .trace import ConstructionTrace, MidpointResult, TraceBuilder, make_midpoint_result
 
 UNIT_CIRCLE = Circle2(ORIGIN, 1.0)
 
@@ -47,23 +47,13 @@ def _builder(method_id: str, x: Point2, y: Point2, tol: Tolerance) -> TraceBuild
     return TraceBuilder(Model.DISK, method_id, {"x": x, "y": y, "unit": UNIT_CIRCLE, "origin": ORIGIN}, tol)
 
 
-def _collinearity_margin(x: Point2, y: Point2) -> float:
-    return abs(x.cross(y)) / (1.0 + x.norm() * y.norm())
-
-
-def _check_noncollinear(x: Point2, y: Point2, tol: Tolerance) -> None:
-    """Preconditions of every construction on the carrier S(a, r_a)."""
-    check_pair(Model.DISK, x, y, tol)
-    if x.norm() <= tol.eps_degenerate or y.norm() <= tol.eps_degenerate:
-        raise CollinearWithOrigin("x and y must be nonzero")
-    if _collinearity_margin(x, y) <= tol.eps_degenerate:
+def require_generic(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> None:
+    """Precondition of the bisector circle, methods I-VI and the lemma 4.6 and
+    proposition 4.7 reports: a :attr:`PairKind.GENERIC` pair."""
+    kind = pair_kind(Model.DISK, x, y, tol)
+    if kind is PairKind.LINE:
         raise CollinearWithOrigin(f"0, {x}, {y} are collinear")
-
-
-def _check_generic(x: Point2, y: Point2, tol: Tolerance) -> None:
-    """Preconditions shared by the bisector circle and methods I-VI."""
-    _check_noncollinear(x, y, tol)
-    if abs(x.norm() - y.norm()) <= tol.eps_degenerate:
+    if kind is PairKind.EQUAL_MODULI:
         raise EqualModuli(f"|x| = |y| = {x.norm()!r}; the bisector circle degenerates")
 
 
@@ -74,7 +64,7 @@ def bisector_circle(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> tuple
     r_w = |x-y| sqrt((1-|x|^2)(1-|y|^2)) / ||y|^2 - |x|^2|.
     Its intersection with the geodesic carrier is the hyperbolic midpoint.
     """
-    _check_generic(x, y, tol)
+    require_generic(x, y, tol)
     nx2, ny2 = x.norm_sq(), y.norm_sq()
     den = ny2 - nx2
     w = (y * (1.0 - nx2) - x * (1.0 - ny2)) * (1.0 / den)
@@ -96,8 +86,7 @@ def b2_case1(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResu
     m, m-bar (and n, n-bar) are the unit-circle points of the chords through
     x (and y) perpendicular to the diameter; same-side points are paired.
     """
-    check_pair(Model.DISK, x, y, tol)
-    if _collinearity_margin(x, y) > tol.eps_degenerate:
+    if pair_kind(Model.DISK, x, y, tol) is not PairKind.LINE:
         raise NotOnDiameter(f"0, {x}, {y} are not collinear")
     b = _builder("b2-case1", x, y, tol)
     ld = b.step("line", "x", "y", name="Ld", label="L(x,y)")
@@ -121,7 +110,7 @@ def b2_method_I(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointR
     compass as the tangent length from w to the unit circle (equivalent to
     orthogonality to S(a, r_a) because w.a = 1).
     """
-    _check_generic(x, y, tol)
+    require_generic(x, y, tol)
     b = _builder("b2-I", x, y, tol)
     b.step("invert", "x", name="xsup", label="x^*")
     b.step("invert", "y", name="ysup", label="y^*")
@@ -147,7 +136,7 @@ def b2_methods_II_to_VI(x: Point2, y: Point2, which: str, tol: Tolerance = DEFAU
     """
     if which not in _METHOD_CHORDS:
         raise ValueError(f"method must be one of {sorted(_METHOD_CHORDS)}, got {which!r}")
-    _check_generic(x, y, tol)
+    require_generic(x, y, tol)
     label, (p1, q1), (p2, q2) = _METHOD_CHORDS[which]
     b = _builder(f"b2-{which}", x, y, tol)
     needed = {p1, q1, p2, q2}
@@ -178,8 +167,10 @@ def b2_equal_moduli(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Midpo
     With |x| = |y| the perpendicular to L(x,y) through 0 is exactly L(0, a),
     so no center needs to be extracted.
     """
-    _check_noncollinear(x, y, tol)
-    if abs(x.norm() - y.norm()) > tol.eps_degenerate:
+    kind = pair_kind(Model.DISK, x, y, tol)
+    if kind is PairKind.LINE:
+        raise CollinearWithOrigin(f"0, {x}, {y} are collinear")
+    if kind is PairKind.GENERIC:
         raise MethodInapplicable("ModuliDiffer", f"|x| != |y| ({x.norm()!r} vs {y.norm()!r})")
     b = _builder("b2-equal-moduli", x, y, tol)
     b.step("ortho_circle", "x", "y", name="carrier", label="S¹(a,r_a)")

@@ -1,7 +1,7 @@
 """Single entry point for midpoint construction with method dispatch.
 
-``auto`` picks the method with the fewest inapplicability cases for the
-detected configuration; explicit methods run as requested or raise
+``auto`` runs the method :data:`AUTO_METHOD` names for the pair's
+configuration; explicit methods run as requested or raise
 :class:`MethodInapplicable`.  Every result is cross-checked against the
 bisection oracle and the Euclidean distance between the two is attached.
 """
@@ -12,11 +12,9 @@ import dataclasses
 
 from ..errors import MethodInapplicable
 from ..geom2d import DEFAULT_TOL, Point2, Tolerance
-from ..hypmetric import Model, midpoint_disk_angles, midpoint_oracle, require_in_domain
+from ..hypmetric import Model, PairKind, midpoint_disk_angles, midpoint_oracle, pair_kind, require_in_domain
 from . import disk, halfplane
 from .trace import MidpointResult, TraceBuilder, make_midpoint_result
-
-ORACLE_FLAG_THRESHOLD = 1e-8
 
 H2_METHODS = {
     "case1": halfplane.h2_case1,
@@ -27,6 +25,12 @@ H2_METHODS = {
 }
 
 METHOD_NAMES = ("auto", "case1", "equal", "I", "II", "III", "IV", "V", "VI", "angles")
+
+# the method ``auto`` runs for each model and pair configuration
+AUTO_METHOD = {
+    Model.HALF_PLANE: {PairKind.LINE: "case1", PairKind.GENERIC: "III"},
+    Model.DISK: {PairKind.LINE: "case1", PairKind.EQUAL_MODULI: "equal", PairKind.GENERIC: "I"},
+}
 
 
 def _angles_result(x: Point2, y: Point2, tol: Tolerance) -> MidpointResult:
@@ -46,7 +50,7 @@ def _run_b2(x: Point2, y: Point2, method: str, tol: Tolerance) -> MidpointResult
     if method == "angles":
         return _angles_result(x, y, tol)
     if method in disk.DISK_METHODS:
-        if abs(x.norm() - y.norm()) <= tol.eps_degenerate:
+        if pair_kind(Model.DISK, x, y, tol) is PairKind.EQUAL_MODULI:
             # Eq-(4.4)-style methods divide by |y|^2 - |x|^2; refuse and hand
             # the caller the equal-moduli construction instead.
             fallback = disk.b2_equal_moduli(x, y, tol)
@@ -70,27 +74,20 @@ def midpoint(
 ) -> MidpointResult:
     """Construct the hyperbolic midpoint of the segment from x to y.
 
-    Returns the construction result with ``oracle_distance`` filled in; a
-    distance above 1e-8 marks a disagreement with the independent bisection
-    oracle (see :attr:`MidpointResult.oracle_distance`).
+    Returns the construction result with ``oracle_distance`` filled in, its
+    Euclidean distance to the independent bisection oracle; see
+    :meth:`MidpointResult.oracle_disagrees` for when that marks a disagreement.
     """
-    require_in_domain(model, x, y)
-    scale = 1.0 + x.norm() + y.norm()
+    if method == "auto":
+        method = AUTO_METHOD[model][pair_kind(model, x, y, tol)]
+    else:
+        require_in_domain(model, x, y)
     if model is Model.HALF_PLANE:
-        if method == "auto":
-            method = "case1" if abs(x.x1 - y.x1) <= tol.eps_degenerate * scale else "III"
         runner = H2_METHODS.get(method)
         if runner is None:
             raise ValueError(f"unknown half-plane method {method!r}; expected auto, case1 or I..IV")
         result = runner(x, y, tol)
     else:
-        if method == "auto":
-            if abs(x.cross(y)) / (1.0 + x.norm() * y.norm()) <= tol.eps_degenerate:
-                method = "case1"
-            elif abs(x.norm() - y.norm()) <= tol.eps_degenerate:
-                method = "equal"
-            else:
-                method = "I"
         result = _run_b2(x, y, method, tol)
     oracle = midpoint_oracle(model, x, y, tol)
     return dataclasses.replace(result, oracle_distance=(result.z - oracle).norm())

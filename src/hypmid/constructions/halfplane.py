@@ -8,8 +8,6 @@ in the boundary, which forces its center onto the real axis).
 
 from __future__ import annotations
 
-import math
-
 from ..errors import MethodInapplicable, NotVerticallyAligned
 from ..geom2d import (
     DEFAULT_TOL,
@@ -19,8 +17,8 @@ from ..geom2d import (
     Tolerance,
     nearest_to,
 )
-from ..hypmetric import Model
-from .trace import MidpointResult, TraceBuilder, check_pair, make_midpoint_result
+from ..hypmetric import Model, PairKind, geodesic_of, pair_kind
+from .trace import MidpointResult, TraceBuilder, make_midpoint_result
 
 AXIS = Line2(Point2(0.0, 1.0), 0.0)
 
@@ -39,8 +37,8 @@ def _carrier_circle(b: TraceBuilder):
     return b.step("circle_through", "x", "y", "xbar", name="carrier", label="S¹(o,r)")
 
 
-def _require_circular(x: Point2, y: Point2, scale: float, tol: Tolerance) -> None:
-    if abs(x.x1 - y.x1) <= tol.eps_degenerate * scale:
+def _require_circular(x: Point2, y: Point2, tol: Tolerance) -> None:
+    if pair_kind(Model.HALF_PLANE, x, y, tol) is PairKind.LINE:
         raise MethodInapplicable(
             "VerticalCarrier", "x and y share a vertical geodesic; use the vertical case"
         )
@@ -54,8 +52,7 @@ def h2_case1(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResu
     itself constructed), the circle around o through their intersection, and
     finally its upper intersection with the line.
     """
-    scale = check_pair(Model.HALF_PLANE, x, y, tol)
-    if abs(x.x1 - y.x1) > tol.eps_degenerate * scale:
+    if pair_kind(Model.HALF_PLANE, x, y, tol) is not PairKind.LINE:
         raise NotVerticallyAligned(f"x1 differs: {x.x1!r} vs {y.x1!r}")
     if x.x2 > y.x2:
         x, y = y, x
@@ -87,9 +84,8 @@ def h2_method_I(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointR
     w is the boundary point of the chord L(x, y); the method is inapplicable
     when the chord is parallel to the boundary (equal heights).
     """
-    scale = check_pair(Model.HALF_PLANE, x, y, tol)
-    _require_circular(x, y, scale, tol)
-    if abs(x.x2 - y.x2) <= tol.eps_degenerate * scale:
+    _require_circular(x, y, tol)
+    if abs(x.x2 - y.x2) <= tol.eps_degenerate * (1.0 + x.norm() + y.norm()):
         raise MethodInapplicable("ParallelChord", "L(x,y) is parallel to the boundary; w does not exist")
     b = _builder("h2-I", x, y, tol)
     carrier = _carrier_circle(b)
@@ -102,15 +98,10 @@ def h2_method_I(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointR
 
 def h2_method_II(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
     """Ideal-chord method: z above v = L(x, x_*) n L(y, y_*)."""
-    scale = check_pair(Model.HALF_PLANE, x, y, tol)
-    _require_circular(x, y, scale, tol)
+    _require_circular(x, y, tol)
     b = _builder("h2-II", x, y, tol)
-    carrier = _carrier_circle(b)
-    o1, r = carrier.center.x1, carrier.radius
-    right, left = Point2(o1 + r, 0.0), Point2(o1 - r, 0.0)
-    phi_x = math.atan2(x.x2, x.x1 - o1)
-    phi_y = math.atan2(y.x2, y.x1 - o1)
-    xstar, ystar = (right, left) if phi_x < phi_y else (left, right)
+    _carrier_circle(b)
+    xstar, ystar = geodesic_of(Model.HALF_PLANE, x, y, tol).ideal_endpoints
     b.step("intersect", "carrier", "axis", name="xs", label="x_*", select=nearest_to(xstar))
     b.step("intersect", "carrier", "axis", name="ys", label="y_*", select=nearest_to(ystar))
     b.step("line", "x", "xs", name="Lx", label="L(x,x_*)")
@@ -127,8 +118,7 @@ def h2_method_III(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Midpoin
     S(a, r_a) passes through x, y orthogonally to the carrier, so its center
     is the intersection of the carrier tangents at x and y.
     """
-    scale = check_pair(Model.HALF_PLANE, x, y, tol)
-    _require_circular(x, y, scale, tol)
+    _require_circular(x, y, tol)
     b = _builder("h2-III", x, y, tol)
     _carrier_circle(b)
     b.step("line", "carrier", "x", name="Lox", label="L(o,x)")
@@ -144,8 +134,7 @@ def h2_method_III(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Midpoin
 
 def h2_method_IV(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
     """Reflected-chord method: z above z1 = L(x, y-bar) n L(x-bar, y)."""
-    scale = check_pair(Model.HALF_PLANE, x, y, tol)
-    _require_circular(x, y, scale, tol)
+    _require_circular(x, y, tol)
     b = _builder("h2-IV", x, y, tol)
     _carrier_circle(b)  # also produces xbar
     b.step("reflect_real", "y", name="ybar", label="ȳ")

@@ -35,15 +35,16 @@ from ..geom2d import (
 )
 from ..hypmetric import (
     Model,
+    PairKind,
     geodesic_of,
     midpoint_halfplane_unitcircle,
     ortho_circle_through,
-    require_in_domain,
+    pair_kind,
     rho_disk,
     rho_halfplane,
 )
 from ..moebius import absolute_ratio
-from .disk import UNIT_CIRCLE, _check_generic, bisector_circle
+from .disk import UNIT_CIRCLE, bisector_circle, require_generic
 
 PASS = "pass"
 FAIL = "fail"
@@ -171,7 +172,7 @@ def lemma31_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Diagno
 
 def lemma46_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> DiagnosticsReport:
     """Disk bisector-circle claims plus the shared-line and inversion-pair claims."""
-    _check_generic(x, y, tol)
+    require_generic(x, y, tol)
     ortho = ortho_circle_through(x, y, tol)
     a, sa = ortho.a, ortho.as_circle()
     w, r_w = bisector_circle(x, y, tol)
@@ -219,7 +220,7 @@ def semicircle_residual(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> f
 def prop47_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> DiagnosticsReport:
     """Circumcircle claims: collinearity always; midpoint/orthogonality/ratio
     equality only when the arc x^*, x, y, y^* is a semicircle."""
-    _check_generic(x, y, tol)
+    require_generic(x, y, tol)
     ortho = ortho_circle_through(x, y, tol)
     sa = ortho.as_circle()
     xsup, ysup = invert_unit(x, tol), invert_unit(y, tol)
@@ -273,12 +274,9 @@ def prop48_orthogonality(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> 
     Both residuals are signed and share their sign, so the predicate flips
     exactly where the cosine criterion changes sign.
     """
-    require_in_domain(Model.DISK, x, y)
-    nx, ny = x.norm(), y.norm()
-    if nx <= tol.eps_degenerate or ny <= tol.eps_degenerate:
-        raise DegenerateInput("x and y must be nonzero")
-    if abs(x.cross(y)) / (1.0 + nx * ny) <= tol.eps_degenerate:
+    if pair_kind(Model.DISK, x, y, tol) is PairKind.LINE:
         raise CollinearWithOrigin(f"0, {x}, {y} are collinear")
+    nx, ny = x.norm(), y.norm()
     cx = Circle2(invert_unit(x, tol), math.sqrt(1.0 / x.norm_sq() - 1.0))
     cy = Circle2(invert_unit(y, tol), math.sqrt(1.0 / y.norm_sq() - 1.0))
     verdict = circles_orthogonal(cx, cy, tol)

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ..errors import DegenerateInput, GeometryError, NoIntersection
+from ..errors import GeometryError, NoIntersection
 from ..geom2d import (
     BOTH,
     DEFAULT_TOL,
@@ -55,8 +55,8 @@ from ..hypmetric import (
     geodesic_of,
     midpoint_oracle,
     ortho_circle_through,
-    require_in_domain,
     rho,
+    unit_circle_crossings,
 )
 
 
@@ -94,6 +94,10 @@ class ConstructionTrace:
             yield step.produces, step.result
 
 
+# oracle distance above which a constructed midpoint disagrees with the oracle
+ORACLE_FLAG_THRESHOLD = 1e-8
+
+
 @dataclass(frozen=True)
 class MidpointResult:
     """A constructed midpoint, its trace, and its defining residuals.
@@ -108,9 +112,9 @@ class MidpointResult:
     residual_on_geodesic: float
     oracle_distance: float | None = None
 
-    def oracle_disagrees(self, threshold: float = 1e-8) -> bool:
-        """Flag a result whose distance to the independent oracle exceeds threshold."""
-        return self.oracle_distance is not None and self.oracle_distance > threshold
+    def oracle_disagrees(self) -> bool:
+        """Flag a result farther than :data:`ORACLE_FLAG_THRESHOLD` from the oracle."""
+        return self.oracle_distance is not None and self.oracle_distance > ORACLE_FLAG_THRESHOLD
 
 
 def make_midpoint_result(builder: "TraceBuilder", x: Point2, y: Point2, z_name: str) -> MidpointResult:
@@ -123,15 +127,6 @@ def make_midpoint_result(builder: "TraceBuilder", x: Point2, y: Point2, z_name: 
         residual_equal_distance=abs(rho(builder.model, x, z) - rho(builder.model, z, y)),
         residual_on_geodesic=is_on(z, g.carrier, builder.tol).residual,
     )
-
-
-def check_pair(model: Model, x: Point2, y: Point2, tol: Tolerance) -> float:
-    """Require two distinct points of the model; returns their scale 1 + |x| + |y|."""
-    require_in_domain(model, x, y)
-    scale = 1.0 + x.norm() + y.norm()
-    if (x - y).norm() <= tol.eps_degenerate * scale:
-        raise DegenerateInput(f"midpoint needs distinct points, got {x} ~ {y}")
-    return scale
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +226,10 @@ def _intersect(a, b, selector: Selector, tol: Tolerance):
 
 
 def _unit_ortho_intersection(circle: Circle2, selector: Selector, tol: Tolerance):
-    """Intersect a circle orthogonal to S1 with S1 via its radical line p.a = 1.
-
-    Exact for orthogonal circles and scale-free, where the generic
-    circle-circle routine hits the representation floor of huge carriers.
-    """
-    a = circle.center
-    aa = a.norm_sq()
-    if aa < 1.0:
+    """Intersect a circle orthogonal to S1 with S1 via its radical line p.a = 1."""
+    if circle.center.norm_sq() < 1.0:
         raise NoIntersection("the radical line p.a = 1 misses the unit circle")
-    base = a * (1.0 / aa)
-    h = math.sqrt(max(1.0 - 1.0 / aa, 0.0))
-    perp = a.perp() * (1.0 / a.norm())
-    return _apply_selector([base + perp * h, base - perp * h], selector, tol, 1.0 + circle.radius)
+    return _apply_selector(list(unit_circle_crossings(circle.center)), selector, tol, 1.0 + circle.radius)
 
 
 def _radius_ortho_intersection(line: Line2, circle: Circle2, selector: Selector, tol: Tolerance):

@@ -51,6 +51,36 @@ def require_in_domain(model: Model, *points: Point2) -> None:
             raise OutsideDomain(f"{p} is not in the {model.value} domain")
 
 
+class PairKind(enum.Enum):
+    """The paper's case split of a pair of distinct points."""
+
+    LINE = "line"  # a vertical carrier in h2, a diameter in b2
+    EQUAL_MODULI = "equal-moduli"  # b2 only: |x| = |y| off every diameter
+    GENERIC = "generic"
+
+
+def pair_kind(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> PairKind:
+    """The case of the paper's constructions that x, y fall in; eps = tol.eps_degenerate.
+
+    Raises :class:`OutsideDomain`, or :class:`DegenerateInput` if |x - y| <= eps s
+    with s = 1 + |x| + |y|.  LINE: |x1 - y1| <= eps s in h2, |x × y| / (1 + |x||y|)
+    <= eps in b2 (true if x or y is 0).  EQUAL_MODULI: ||x| - |y|| <= eps in b2.
+    """
+    require_in_domain(model, x, y)
+    eps = tol.eps_degenerate
+    nx, ny = x.norm(), y.norm()
+    scale = 1.0 + nx + ny
+    if (x - y).norm() <= eps * scale:
+        raise DegenerateInput(f"need two distinct points, got {x} ~ {y}")
+    if model is Model.HALF_PLANE:
+        return PairKind.LINE if abs(x.x1 - y.x1) <= eps * scale else PairKind.GENERIC
+    if abs(x.cross(y)) / (1.0 + nx * ny) <= eps:
+        return PairKind.LINE
+    if abs(nx - ny) <= eps:
+        return PairKind.EQUAL_MODULI
+    return PairKind.GENERIC
+
+
 def rho_halfplane(x: Point2, y: Point2) -> float:
     """Half-plane distance via cosh rho = 1 + |x-y|^2 / (2 x2 y2).
 
@@ -133,24 +163,25 @@ def arc_point(t: float, ortho: OrthoCircle) -> Point2:
     return Point2.from_complex(local * ortho.a.as_complex() / ortho.a.norm())
 
 
-def _unit_circle_endpoints(ortho: OrthoCircle) -> tuple[Point2, Point2]:
-    # points p with |p| = 1 and p.a = 1 (radical line of S1 and S(a, r_a))
-    aa = ortho.a.norm_sq()
-    base = ortho.a * (1.0 / aa)
+def unit_circle_crossings(a: Point2) -> tuple[Point2, Point2]:
+    """Where a circle centered at a and orthogonal to S1 meets S1.
+
+    These are the points p with |p| = 1 on the radical line p.a = 1.  The
+    form is exact for orthogonal circles and scale-free, where the generic
+    circle-circle routine hits the representation floor of huge carriers.
+    """
+    aa = a.norm_sq()
+    base = a * (1.0 / aa)
     h = math.sqrt(max(1.0 - 1.0 / aa, 0.0))
-    perp = ortho.a.perp() * (1.0 / ortho.a.norm())
+    perp = a.perp() * (1.0 / a.norm())
     return base + perp * h, base - perp * h
 
 
 def geodesic_of(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Geodesic:
     """Carrier and ordered ideal endpoints of the geodesic through x and y."""
-    require_in_domain(model, x, y)
-    scale = 1.0 + x.norm() + y.norm()
-    if (x - y).norm() <= tol.eps_degenerate * scale:
-        raise DegenerateInput(f"geodesic needs distinct points, got {x} ~ {y}")
-
+    kind = pair_kind(model, x, y, tol)
     if model is Model.HALF_PLANE:
-        if abs(x.x1 - y.x1) <= tol.eps_degenerate * scale:
+        if kind is PairKind.LINE:
             carrier = Line2(Point2(1.0, 0.0), x.x1)
             foot = Point2(x.x1, 0.0)
             ends = (foot, INFINITY) if x.x2 < y.x2 else (INFINITY, foot)
@@ -164,15 +195,14 @@ def geodesic_of(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL
         ends = (right, left) if phi_x < phi_y else (left, right)
         return Geodesic(model, Circle2(center, r), ends)
 
-    margin = abs(x.cross(y)) / (1.0 + x.norm() * y.norm())
-    if margin <= tol.eps_degenerate or x.norm() <= tol.eps_degenerate or y.norm() <= tol.eps_degenerate:
+    if kind is PairKind.LINE:
         d = (y - x) * (1.0 / (y - x).norm())
         n = d.perp()
         carrier = Line2(n, n.dot(x))
         ends = (-d, d) if x.dot(d) < y.dot(d) else (d, -d)
         return Geodesic(model, carrier, ends)
     ortho = ortho_circle_through(x, y, tol)
-    e1, e2 = _unit_circle_endpoints(ortho)
+    e1, e2 = unit_circle_crossings(ortho.a)
     tx, ty = signed_arc_angle(x, ortho), signed_arc_angle(y, ortho)
     t1 = signed_arc_angle(e1, ortho)
     if tx < ty:

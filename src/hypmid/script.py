@@ -267,8 +267,11 @@ def _parse_arg(p: _LineParser, kind: str = "point"):
     if tok.kind == "name":
         nxt = p.tokens[p.pos + 1] if p.pos + 1 < len(p.tokens) else None
         if tok.text in OPS and nxt is not None and nxt.kind == "punct" and nxt.text == "(":
-            if "selector" in OPS[tok.text].kinds:
+            op = OPS[tok.text]
+            if "selector" in op.kinds:
                 p.fail(f"{tok.text}(...) select ... cannot be nested; bind it to a name first")
+            if op.result == "residual":
+                p.fail(f"{tok.text}(...) is an assertion; it cannot be an argument")
             return _parse_call(p)
         p.next()
         return Ref(tok.text)

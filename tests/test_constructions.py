@@ -20,12 +20,14 @@ from hypmid.constructions import (
     scale_sequence,
 )
 from hypmid import script
+from hypmid.constructions import disk, dispatch
 from hypmid.constructions.trace import OPS, replay
 from hypmid.errors import (
     ChainSaturated,
     CollinearWithOrigin,
     DegenerateInput,
     EqualModuli,
+    GeometryError,
     MethodInapplicable,
     NotOnDiameter,
     NotVerticallyAligned,
@@ -285,6 +287,110 @@ class TestDispatch:
         for p in zs:
             for q in zs:
                 assert (p - q).norm() <= 1e-9
+
+
+def _off_diameter(margin: float, r: float = 0.25):
+    """(0.5, 0) and a point of modulus r whose collinearity margin with it is ``margin``."""
+    phi = math.asin(margin * (1.0 + 0.5 * r) / (0.5 * r))
+    return Point2(0.5, 0.0), Point2(r * math.cos(phi), r * math.sin(phi))
+
+
+def _off_vertical(factor: float, s: float):
+    """(s, s) and a point near (s, 2s) with |x1 - y1| = factor * eps * (1 + |x| + |y|)."""
+    x, y = Point2(s, s), Point2(s, 2.0 * s)
+    return x, Point2(s + factor * 1e-12 * (1.0 + x.norm() + y.norm()), 2.0 * s)
+
+
+# pairs on each side of each eps_degenerate = 1e-12 boundary of the case split
+CASE_SPLIT = {
+    "b2-margin-2e-12": (Model.DISK, *_off_diameter(2e-12), "generic"),
+    "b2-margin-5e-13": (Model.DISK, *_off_diameter(5e-13), "line"),
+    "b2-moduli-gap-2e-12": (Model.DISK, Point2(0.5, 0.0), Point2(0.0, 0.5 + 2e-12), "generic"),
+    "b2-moduli-gap-5e-13": (Model.DISK, Point2(0.5, 0.0), Point2(0.0, 0.5 + 5e-13), "equal"),
+    "b2-point-at-0": (Model.DISK, ORIGIN, Point2(0.3, 0.4), "line"),
+    "b2-coincident": (Model.DISK, Point2(0.3, 0.4), Point2(0.3, 0.4), "coincident"),
+    "h2-offset-2eps-scale-1e-3": (Model.HALF_PLANE, *_off_vertical(2.0, 1e-3), "generic"),
+    "h2-offset-eps/2-scale-1e-3": (Model.HALF_PLANE, *_off_vertical(0.5, 1e-3), "line"),
+    "h2-offset-2eps-scale-1e3": (Model.HALF_PLANE, *_off_vertical(2.0, 1e3), "generic"),
+    "h2-offset-eps/2-scale-1e3": (Model.HALF_PLANE, *_off_vertical(0.5, 1e3), "line"),
+    "h2-coincident": (Model.HALF_PLANE, Point2(1.0, 2.0), Point2(1.0, 2.0), "coincident"),
+}
+
+# each configuration's method: the dispatch name auto runs, and the function
+CASE_METHOD = {
+    Model.HALF_PLANE: {"line": ("case1", h2_case1), "generic": ("III", h2_method_III)},
+    Model.DISK: {
+        "line": ("b2_case1", b2_case1),
+        "equal": ("b2_equal_moduli", b2_equal_moduli),
+        "generic": ("b2_method_I", b2_method_I),
+    },
+}
+
+# (model, method's configuration, pair's configuration) -> typed refusal, reason
+REFUSAL = {
+    (Model.HALF_PLANE, "line", "generic"): (NotVerticallyAligned, None),
+    (Model.HALF_PLANE, "generic", "line"): (MethodInapplicable, "VerticalCarrier"),
+    (Model.DISK, "line", "equal"): (NotOnDiameter, None),
+    (Model.DISK, "line", "generic"): (NotOnDiameter, None),
+    (Model.DISK, "equal", "line"): (CollinearWithOrigin, None),
+    (Model.DISK, "equal", "generic"): (MethodInapplicable, "ModuliDiffer"),
+    (Model.DISK, "generic", "line"): (CollinearWithOrigin, None),
+    (Model.DISK, "generic", "equal"): (EqualModuli, None),
+}
+
+PRECONDITION_ERRORS = (NotVerticallyAligned, NotOnDiameter, CollinearWithOrigin, EqualModuli, MethodInapplicable)
+
+
+class _Routed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("case", sorted(CASE_SPLIT))
+def test_case_split_boundaries(case, monkeypatch):
+    model, x, y, config = CASE_SPLIT[case]
+    methods = CASE_METHOD[model]
+    routed = []
+
+    def spy(kind):
+        def run(*args):
+            routed.append(kind)
+            raise _Routed
+
+        return run
+
+    for kind, (name, _) in methods.items():
+        if model is Model.HALF_PLANE:
+            monkeypatch.setitem(dispatch.H2_METHODS, name, spy(kind))
+        else:
+            monkeypatch.setattr(disk, name, spy(kind))
+    if config == "coincident":
+        with pytest.raises(DegenerateInput) as err:
+            midpoint(model, x, y)
+        assert err.type is DegenerateInput and routed == []
+        monkeypatch.undo()
+        for _, fn in methods.values():
+            with pytest.raises(DegenerateInput) as err:
+                fn(x, y)
+            assert err.type is DegenerateInput
+        return
+
+    with pytest.raises(_Routed):
+        midpoint(model, x, y)
+    assert routed == [config]
+    monkeypatch.undo()
+    try:  # the routed method accepts the pair; so close to a boundary it may still lose it numerically
+        methods[config][1](x, y)
+    except PRECONDITION_ERRORS as exc:
+        pytest.fail(f"{methods[config][0]} refused its own configuration: {exc!r}")
+    except GeometryError:
+        pass
+    for kind, (_, fn) in methods.items():
+        if kind == config:
+            continue
+        error, reason = REFUSAL[(model, kind, config)]
+        with pytest.raises(error) as err:
+            fn(x, y)
+        assert err.type is error and getattr(err.value, "reason", None) == reason
 
 
 class TestTraces:

@@ -171,6 +171,15 @@ def test_every_table_op_parses(fn):
     assert script.parse(script.format_program(program)) == program
 
 
+@pytest.mark.parametrize("fn", sorted(fn for fn, op in OPS.items() if op.result == "residual"))
+def test_nested_assertion_is_syntax_error(fn):
+    call = f"{fn}({', '.join(KIND_SAMPLES[k] for k in OPS[fn].kinds)})"
+    statement = f"line M = line({call}, x)"
+    with pytest.raises(script.ScriptSyntaxError) as err:
+        script.parse(OP_PRELUDE + statement + "\n")
+    assert (err.value.line, err.value.column) == (4, statement.index(call) + 1)
+
+
 def test_circle_stands_for_its_center():
     src = "point x = (0.5, 0.0)\ncircle C = circle(x, 0.25)\nassert equals(C, x)\nline L = line(C, origin)\noutput L\n"
     result = script.evaluate(script.parse(src))

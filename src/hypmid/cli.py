@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import render, script, sweeps
-from .constructions import METHOD_NAMES, MidpointResult, midpoint
+from .constructions import H2_METHODS, METHOD_NAMES, MidpointResult, midpoint
 from .errors import GeometryError, MethodInapplicable
 from .geom2d import Point2, Tolerance
 from .hypmetric import Geodesic, Model
@@ -53,6 +53,15 @@ def default_tolerance() -> Tolerance:
         raise SystemExit(EXIT_USAGE) from None
 
 
+def _lacks_method(model: Model, method: str) -> bool:
+    """Print a usage error if the model lacks the method (h2 has no equal, V, VI or angles)."""
+    if model is Model.HALF_PLANE and method != "auto" and method not in H2_METHODS:
+        expected = ", ".join(("auto", *H2_METHODS))
+        print(f"error: --method {method} is not a half-plane method; expected {expected}", file=sys.stderr)
+        return True
+    return False
+
+
 def _fmt_pt(p: Point2) -> str:
     return f"{p.x1:.12g},{p.x2:.12g}"
 
@@ -90,6 +99,8 @@ def _midpoint_json(model: Model, x: Point2, y: Point2, method: str, result: Midp
 def cmd_midpoint(args) -> int:
     tol = default_tolerance()
     model = Model(args.model)
+    if _lacks_method(model, args.method):
+        return EXIT_USAGE
     try:
         result = midpoint(model, args.x, args.y, args.method, tol)
     except MethodInapplicable as exc:
@@ -186,6 +197,8 @@ def cmd_render(args) -> int:
         else:
             if args.x is None or args.y is None or args.model is None:
                 print("error: render needs either --script or --model/--x/--y", file=sys.stderr)
+                return EXIT_USAGE
+            if _lacks_method(Model(args.model), args.method):
                 return EXIT_USAGE
             result = midpoint(Model(args.model), args.x, args.y, args.method, tol)
             svg = render.render_trace(result.trace, spec)

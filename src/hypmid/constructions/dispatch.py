@@ -75,7 +75,7 @@ def midpoint(
     """Construct the hyperbolic midpoint of the segment from x to y.
 
     Returns the construction result with ``oracle_distance`` filled in, its
-    Euclidean distance to the independent bisection oracle; see
+    Euclidean distance to the bisection oracle; see
     :meth:`MidpointResult.oracle_disagrees` for when that marks a disagreement.
     """
     if method == "auto":

@@ -3,8 +3,13 @@
 Supports the upper half-plane (points with x2 > 0, geodesics are vertical
 lines and semicircles centered on the real axis) and the Poincare unit disk
 (points with |x| < 1, geodesics are diameters and arcs orthogonal to the unit
-circle).  The bisection midpoint oracle shares no code path with any midpoint
-construction, so it can validate all of them independently.
+circle).  The bisection midpoint oracle shares one call with the
+constructions: :func:`geodesic_of`, which gives its carrier and runs the
+domain and distinct-points checks of :func:`pair_kind`.  Disk methods III-VI
+and half-plane method II take their ideal endpoints from it, and
+``make_midpoint_result`` measures every result's carrier residual against it.
+The oracle's parametrization of the carrier and its bisection test are its
+own; a carrier that ``geodesic_of`` got wrong would mislead both sides.
 """
 
 from __future__ import annotations
@@ -283,43 +288,65 @@ def midpoint_disk_angles(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> 
 
 
 def _geodesic_parametrization(g: Geodesic, x: Point2, y: Point2):
+    # t in [0, 1] -> carrier point (m1, m2) from x to y: x + t (y - x) on lines;
+    # on circles x plus the chord 2r sin(t delta/2) (-sin, cos)(a_x + t delta/2),
+    # which stays accurate to the chord length where c + r (cos, sin) would
+    # lose r eps on near-diameter carriers
+    x1, x2 = x.x1, x.x2
     if isinstance(g.carrier, Line2):
-        return lambda t: x + (y - x) * t
+        d1, d2 = y.x1 - x1, y.x2 - x2
+        return lambda t: (x1 + t * d1, x2 + t * d2)
     center, r = g.carrier.center, g.carrier.radius
-    ax = math.atan2(x.x2 - center.x2, x.x1 - center.x1)
+    ax = math.atan2(x2 - center.x2, x1 - center.x1)
     ay = math.atan2(y.x2 - center.x2, y.x1 - center.x1)
-    delta = math.remainder(ay - ax, math.tau)
-    return lambda t: center + Point2(math.cos(ax + t * delta), math.sin(ax + t * delta)) * r
+    half = 0.5 * math.remainder(ay - ax, math.tau)
+
+    def gamma(t: float) -> tuple[float, float]:
+        h = t * half
+        chord, a = 2.0 * r * math.sin(h), ax + h
+        return x1 - chord * math.sin(a), x2 + chord * math.cos(a)
+
+    return gamma
 
 
-def midpoint_oracle(
-    model: Model,
-    x: Point2,
-    y: Point2,
-    tol: Tolerance = DEFAULT_TOL,
-    residual_target: float = 1e-12,
-) -> Point2:
-    """Midpoint by bisection along the geodesic arc; independent of all constructions.
+def midpoint_oracle(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Point2:
+    """Midpoint by bisection along the geodesic arc from x to y.
 
     Parametrizes the carrier (angle on circles, arclength on lines) and
-    bisects until |rho(x,m) - rho(m,y)| <= residual_target.
+    bisects on the sign of f(m) = |x-m|^2 w(y) - |m-y|^2 w(x), with w = x2 in
+    h2 and w = 1 - |.|^2 in b2: f has the sign of rho(x,m) - rho(m,y), since
+    the factor in m of cosh rho (h2) or sinh^2(rho/2) (b2) is the same on both
+    sides.  The parameter starts at the end with the smaller w, which the
+    midpoint is nearer to.  Stops at parameter resolution (the next parameter
+    equals an end of the bracket) or at f == 0, after at most 200 halvings.
+    The domain and distinct-points checks run once, in :func:`geodesic_of`.
     """
     g = geodesic_of(model, x, y, tol)
+    if model is Model.HALF_PLANE:
+        wx, wy = x.x2, y.x2
+    else:
+        wx, wy = 1.0 - x.norm_sq(), 1.0 - y.norm_sq()
+    if wy < wx:
+        # |x-m| : |m-y| = sqrt(w(x)) : sqrt(w(y)), so start at the end the
+        # midpoint is nearer to, where the parameter resolves finer
+        x, y, wx, wy = y, x, wy, wx
     gamma = _geodesic_parametrization(g, x, y)
-    dist = rho_halfplane if model is Model.HALF_PLANE else rho_disk
-    lo, hi = 0.0, 1.0
-    mid = 0.5
+    x1, x2, y1, y2 = x.x1, x.x2, y.x1, y.x2
+    lo, hi, mid = 0.0, 1.0, 0.5
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        m = gamma(mid)
-        f = dist(x, m) - dist(m, y)
-        if abs(f) <= residual_target:
-            return m
+        m1, m2 = gamma(mid)
+        d1, d2, e1, e2 = x1 - m1, x2 - m2, m1 - y1, m2 - y2
+        f = (d1 * d1 + d2 * d2) * wy - (e1 * e1 + e2 * e2) * wx
+        if f == 0.0:
+            break
         if f < 0.0:
             lo = mid
         else:
             hi = mid
-    return gamma(mid)
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+    return Point2(m1, m2)
 
 
 def projection_pr(x: Point2, tol: Tolerance = DEFAULT_TOL) -> Point2:

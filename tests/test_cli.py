@@ -56,6 +56,13 @@ class TestMidpoint:
         code, _, err = run(capsys, "midpoint", "--model", "h2", "--x", "zap", "--y", "0,1")
         assert code == 64
 
+    @pytest.mark.parametrize("method", ["V", "angles"])
+    def test_method_model_lacks_is_usage_error(self, capsys, method):
+        code, out, err = run(capsys, "midpoint", "--model", "h2", "--x", "0,1", "--y", "1,1", "--method", method)
+        assert code == 64
+        assert err.startswith("error: ") and method in err
+        assert out == ""
+
     def test_outside_domain_is_error(self, capsys):
         code, _, err = run(capsys, "midpoint", "--model", "h2", "--x", "0,-1", "--y", "0,1")
         assert code == 1
@@ -155,6 +162,16 @@ class TestRender:
             "--out", str(tmp_path / "z.svg"), "--size", "0",
         )
         assert code == 64
+
+    @pytest.mark.parametrize("method", ["V", "angles"])
+    def test_method_model_lacks_is_usage_error(self, capsys, tmp_path, method):
+        out = tmp_path / "m.svg"
+        code, _, err = run(
+            capsys, "render", "--model", "h2", "--x", "0,1", "--y", "1,1", "--method", method, "--out", str(out),
+        )
+        assert code == 64
+        assert err.startswith("error: ") and method in err
+        assert not out.exists()
 
     def test_inapplicable_method_exit_2(self, capsys, tmp_path):
         code, _, err = run(

@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given
 
@@ -276,6 +277,87 @@ class TestOracle:
             from hypmid.geom2d import is_on
 
             assert abs(is_on(m, g.carrier).residual) <= 1e-9
+
+    @pytest.mark.parametrize(
+        ("model", "x", "y", "error"),
+        [
+            (Model.HALF_PLANE, Point2(0, -1), Point2(0, 1), OutsideDomain),
+            (Model.DISK, Point2(0.5, 0), Point2(1.2, 0), OutsideDomain),
+            (Model.HALF_PLANE, Point2(0.3, 2), Point2(0.3, 2), DegenerateInput),
+            (Model.DISK, Point2(0.3, 0.4), Point2(0.3, 0.4), DegenerateInput),
+        ],
+    )
+    def test_input_checks(self, model, x, y, error):
+        with pytest.raises(error):
+            midpoint_oracle(model, x, y)
+
+    def test_equal_moduli_pair_lands_on_its_axis(self):
+        # x and its mirror image lie on a circle S((c, 0), r) orthogonal to S1,
+        # c = (1 + |x|^2) / (2 x1); the midpoint is where it crosses the real axis
+        x = Point2(0.3, 0.4)
+        c = (1 + x.norm_sq()) / (2 * x.x1)
+        m = midpoint_oracle(Model.DISK, x, Point2(0.3, -0.4))
+        assert m.close_to(Point2(c - math.sqrt(c * c - 1), 0), 1e-15)
+
+
+def _reference_midpoint(model, x, y):
+    """50-digit midpoint: move x to 0 by z -> (z - x)/(1 - conj(x) z), halve, map back.
+
+    On h2 the pair goes through the Cayley map z -> (z - i)/(z + i) first.
+    """
+    ctx = mpmath.MPContext()
+    ctx.dps = 50
+
+    def disk_mid(a, b):
+        w = (b - a) / (1 - ctx.conj(a) * b)
+        half = w / (1 + ctx.sqrt(1 - abs(w) ** 2))  # tanh(artanh|w| / 2) w/|w|
+        return (half + a) / (1 + ctx.conj(a) * half)
+
+    a, b = ctx.mpc(x.x1, x.x2), ctx.mpc(y.x1, y.x2)
+    if model is Model.DISK:
+        return disk_mid(a, b)
+    i = ctx.mpc(0, 1)
+    w = disk_mid((a - i) / (a + i), (b - i) / (b + i))
+    return i * (1 + w) / (1 - w)
+
+
+def _polar(r, t):
+    return Point2(r * math.cos(t), r * math.sin(t))
+
+
+def _b2_comfortable(rng):
+    # |x|, |y| <= 0.95; the angle at 0 is wide or has a margin |sin| down to 1e-3
+    narrow = math.asin(10 ** rng.uniform(-3, -1))
+    dt = rng.choice([-1, 1]) * rng.choice([rng.uniform(0.05, 3.0), narrow, math.pi - narrow])
+    t = rng.uniform(0, math.tau)
+    return Model.DISK, _polar(rng.uniform(0.05, 0.95), t), _polar(rng.uniform(0.05, 0.95), t + dt)
+
+
+def _h2_scaled(rng):
+    s = 10 ** rng.uniform(-6, 6)
+    center = Point2(rng.uniform(-2, 2), 0)
+    r, a = rng.uniform(0.1, 3), rng.uniform(0.05, 3.0)
+    b = rng.uniform(a + 1e-3, 3.09)
+    return Model.HALF_PLANE, (center + _polar(r, a)) * s, (center + _polar(r, b)) * s
+
+
+def _h2_vertical(rng):
+    s = 10 ** rng.uniform(-6, 6)
+    x1 = rng.uniform(-2, 2) * s
+    return Model.HALF_PLANE, Point2(x1, s * 10 ** rng.uniform(-3, 3)), Point2(x1, s * 10 ** rng.uniform(-3, 3))
+
+
+@pytest.mark.parametrize("band", [_b2_comfortable, _h2_scaled, _h2_vertical])
+def test_oracle_accuracy_against_50_digit_reference(band):
+    # relative error: to |z| on h2, to the disk radius 1 on b2
+    rng = random.Random(2011)
+    for _ in range(150):
+        model, x, y = band(rng)
+        for p, q in ((x, y), (y, x)):
+            m = midpoint_oracle(model, p, q)
+            ref = _reference_midpoint(model, p, q)
+            err = float(abs(mpmath.mpc(m.x1, m.x2) - ref) / (abs(ref) if model is Model.HALF_PLANE else 1))
+            assert err <= 1e-14, (p, q, err)
 
 
 class TestProjection:

@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 error, 2 construction inapplicable to the input
 (so pipelines can fall back to --method auto), 64 usage.
+
+Each command imports the modules it alone runs (``sweeps``, ``script``,
+``render``) when it runs, so ``hypmid midpoint`` loads none of them.
 """
 
 from __future__ import annotations
@@ -11,8 +14,7 @@ import json
 import os
 import sys
 
-from . import render, script, sweeps
-from .constructions import H2_METHODS, METHOD_NAMES, MidpointResult, midpoint
+from .constructions import AGREEMENT_TOL, H2_METHODS, METHOD_NAMES, SUITES, MidpointResult, midpoint
 from .errors import GeometryError, MethodInapplicable
 from .geom2d import Point2, Tolerance
 from .hypmetric import Geodesic, Model
@@ -127,6 +129,8 @@ def cmd_midpoint(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import sweeps
+
     tol = default_tolerance()
     cfg = sweeps.SweepConfig(samples=args.samples, seed=args.seed, tolerance=args.tol)
     results = sweeps.run_suite(args.suite, cfg, tol)
@@ -137,7 +141,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_ERROR
 
 
-def _load_script(path: str) -> script.Program:
+def _load_script(path: str):
+    from . import script
+
     with open(path, "r", encoding="utf-8") as fh:
         return script.parse(fh.read())
 
@@ -153,6 +159,8 @@ def _parse_bindings(pairs) -> dict[str, Point2]:
 
 
 def cmd_script(args) -> int:
+    from . import script
+
     tol = default_tolerance()
     try:
         program = _load_script(args.file)
@@ -184,6 +192,8 @@ def cmd_script(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from . import render, script
+
     tol = default_tolerance()
     if args.size <= 0:
         print("error: --size must be positive", file=sys.stderr)
@@ -232,10 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_midpoint)
 
     p = sub.add_parser("verify", help="run the randomized verification sweeps")
-    p.add_argument("--suite", default="all", choices=sweeps.SUITES)
+    p.add_argument("--suite", default="all", choices=SUITES)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=sweeps.AGREEMENT_TOL)
+    p.add_argument("--tol", type=float, default=AGREEMENT_TOL)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("script", help="run or format .hgc construction scripts")
@@ -261,8 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.samples <= 0:
-        parser.error("--samples must be positive")
+    if args.command == "verify":
+        if args.samples <= 0:
+            parser.error("--samples must be positive")
+        if not 0.0 < args.tol < float("inf"):
+            parser.error(f"--tol must be finite and positive, got {args.tol!r}")
     return args.func(args)
 
 

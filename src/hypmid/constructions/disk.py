@@ -6,7 +6,7 @@ distance-multiplying chord chain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import (
     ChainSaturated,
@@ -180,8 +180,7 @@ def b2_equal_moduli(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Midpo
     return make_midpoint_result(b, x, y, "z")
 
 
-@dataclass(frozen=True)
-class PointChain:
+class PointChain(NamedTuple):
     """Points X_1..X_n on the ray through X_1 with rho(0, X_k) = k * rho(0, X_1)."""
 
     base: Point2

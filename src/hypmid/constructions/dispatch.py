@@ -8,8 +8,6 @@ bisection oracle and the Euclidean distance between the two is attached.
 
 from __future__ import annotations
 
-import dataclasses
-
 from ..errors import MethodInapplicable
 from ..geom2d import DEFAULT_TOL, Point2, Tolerance
 from ..hypmetric import Model, PairKind, midpoint_disk_angles, midpoint_oracle, pair_kind, require_in_domain
@@ -25,6 +23,12 @@ H2_METHODS = {
 }
 
 METHOD_NAMES = ("auto", "case1", "equal", "I", "II", "III", "IV", "V", "VI", "angles")
+
+# the suites of ``hypmid verify`` and its default agreement tolerance; the
+# sweeps read them from here, so the CLI parser names them without importing
+# the sweeps
+SUITES = ("h2", "b2", "all")
+AGREEMENT_TOL = 1e-8
 
 # the method ``auto`` runs for each model and pair configuration
 AUTO_METHOD = {
@@ -89,5 +93,5 @@ def midpoint(
         result = runner(x, y, tol)
     else:
         result = _run_b2(x, y, method, tol)
-    oracle = midpoint_oracle(model, x, y, tol)
-    return dataclasses.replace(result, oracle_distance=(result.z - oracle).norm())
+    distance = (result.z - midpoint_oracle(model, x, y, tol)).norm()
+    return MidpointResult(result.z, result.trace, result.residual_equal_distance, result.residual_on_geodesic, distance)

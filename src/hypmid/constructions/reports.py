@@ -9,7 +9,7 @@ marked ``condition_not_met`` when the condition fails, instead of failing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import CollinearWithOrigin, DegenerateInput, NotOnUnitCircle
 from ..geom2d import (
@@ -51,14 +51,12 @@ FAIL = "fail"
 CONDITION_NOT_MET = "condition_not_met"
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     residual: float | None
     status: str
 
 
-@dataclass(frozen=True)
-class DiagnosticsReport:
+class DiagnosticsReport(NamedTuple):
     name: str
     claims: dict[str, Claim]
     threshold: float
@@ -258,8 +256,7 @@ def prop47_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Diagnos
     return _report("prop-4.7", res, tol.eps_incidence)
 
 
-@dataclass(frozen=True)
-class OrthogonalityCheck:
+class OrthogonalityCheck(NamedTuple):
     """Outcome of the two-circle orthogonality criterion at fixed x, y."""
 
     orthogonal: bool

@@ -19,7 +19,6 @@ inside the step so replay is bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..errors import GeometryError, NoIntersection
@@ -63,8 +62,8 @@ from ..hypmetric import (
 class ConstructionStep(NamedTuple):
     """One primitive run: ``kind`` is its op name, ``data`` its selector if any.
 
-    A named tuple, not a frozen dataclass: it is built once per step, and a
-    frozen dataclass costs about 1 us more to build.
+    A named tuple: it is built once per step, so it must be cheap to build
+    (about 0.4 us).
     """
 
     kind: str
@@ -75,8 +74,7 @@ class ConstructionStep(NamedTuple):
     result: object = None
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
+class ConstructionTrace(NamedTuple):
     """Ordered steps plus the initial data they act on."""
 
     model: Model
@@ -98,8 +96,7 @@ class ConstructionTrace:
 ORACLE_FLAG_THRESHOLD = 1e-8
 
 
-@dataclass(frozen=True)
-class MidpointResult:
+class MidpointResult(NamedTuple):
     """A constructed midpoint, its trace, and its defining residuals.
 
     ``oracle_distance`` is filled in by the dispatching ``midpoint`` entry

@@ -1,9 +1,9 @@
 """Euclidean plane primitives: points, lines, circles, intersections, inversions.
 
 Everything downstream (hyperbolic metrics, compass-and-ruler constructions,
-the script interpreter) is built on the operations here.  All values are
-immutable and every operation is a pure function, so they are safe to share
-across threads.
+the script interpreter) is built on the operations here.  Nothing assigns
+to a field of a value once it is built, and every operation is a pure
+function, so values are safe to share across threads.
 
 Numeric conventions:
 
@@ -18,7 +18,7 @@ Numeric conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     AmbiguousSelection,
@@ -32,12 +32,51 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+class Slotted:
+    """Base of the kit's slotted value classes: field-wise ``==``, hash and repr.
+
+    The fields are the class's ``__slots__``; ``_key`` is what ``==`` and
+    hash compare.  Python builds such a class without generating code, and an
+    instance in about 0.2 us.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self.__slots__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+
 class Point2:
     """A point of the plane, also used as a 2-vector or complex value."""
 
-    x1: float
-    x2: float
+    __slots__ = ("x1", "x2")
+
+    def __init__(self, x1: float, x2: float):
+        self.x1 = x1
+        self.x2 = x2
+
+    def __eq__(self, other):
+        if other.__class__ is Point2:
+            return (self.x1, self.x2) == (other.x1, other.x2)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.x1, self.x2))
+
+    def __repr__(self) -> str:
+        return f"Point2(x1={self.x1!r}, x2={self.x2!r})"
 
     def __add__(self, other: "Point2") -> "Point2":
         return Point2(self.x1 + other.x1, self.x2 + other.x2)
@@ -87,35 +126,37 @@ class Point2:
 ORIGIN = Point2(0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class Tolerance(Slotted):
     """Two-tier tolerance: incidence checks vs degeneracy branch decisions."""
 
-    eps_incidence: float = 1e-9
-    eps_degenerate: float = 1e-12
+    __slots__ = ("eps_incidence", "eps_degenerate")
 
-    def __post_init__(self):
-        if not (0.0 < self.eps_degenerate <= self.eps_incidence):
+    def __init__(self, eps_incidence: float = 1e-9, eps_degenerate: float = 1e-12):
+        if not (0.0 < eps_degenerate <= eps_incidence):
             raise ValueError(
                 "require 0 < eps_degenerate <= eps_incidence, got "
-                f"{self.eps_degenerate!r}, {self.eps_incidence!r}"
+                f"{eps_degenerate!r}, {eps_incidence!r}"
             )
+        self.eps_incidence = eps_incidence
+        self.eps_degenerate = eps_degenerate
 
 
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True)
-class Line2:
+class Line2(Slotted):
     """Line in normalized implicit form {p : n.p = c} with |n| = 1.
 
     Vertical lines need no special case.  ``provenance`` optionally keeps the
     two defining points.
     """
 
-    n: Point2
-    c: float
-    provenance: tuple[Point2, Point2] | None = None
+    __slots__ = ("n", "c", "provenance")
+
+    def __init__(self, n: Point2, c: float, provenance: tuple[Point2, Point2] | None = None):
+        self.n = n
+        self.c = c
+        self.provenance = provenance
 
     def residual(self, p: Point2) -> float:
         """Signed distance of p from the line (n is a unit vector)."""
@@ -129,16 +170,16 @@ class Line2:
         return p - self.n * self.residual(p)
 
 
-@dataclass(frozen=True)
-class Circle2:
+class Circle2(Slotted):
     """Circle with strictly positive radius; a degenerate radius is refused."""
 
-    center: Point2
-    radius: float
+    __slots__ = ("center", "radius")
 
-    def __post_init__(self):
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise DegenerateInput(f"circle radius must be finite and > 0, got {self.radius!r}")
+    def __init__(self, center: Point2, radius: float):
+        if not (radius > 0.0 and math.isfinite(radius)):
+            raise DegenerateInput(f"circle radius must be finite and > 0, got {radius!r}")
+        self.center = center
+        self.radius = radius
 
     def residual(self, p: Point2) -> float:
         return (p - self.center).norm() - self.radius
@@ -147,8 +188,7 @@ class Circle2:
 Carrier = Line2 | Circle2
 
 
-@dataclass(frozen=True)
-class Selector:
+class Selector(Slotted):
     """Root selector for two-root intersections.
 
     ``kind`` is one of ``upper`` (x2 > 0), ``in_disk`` (|p| < 1),
@@ -156,8 +196,11 @@ class Selector:
     ``both`` (return the candidate tuple unfiltered).
     """
 
-    kind: str
-    anchor: Point2 | None = None
+    __slots__ = ("kind", "anchor")
+
+    def __init__(self, kind: str, anchor: Point2 | None = None):
+        self.kind = kind
+        self.anchor = anchor
 
 
 UPPER = Selector("upper")
@@ -343,8 +386,7 @@ def invert_in_circle(p: Point2, c: Circle2, tol: Tolerance = DEFAULT_TOL) -> Poi
     return c.center + d * (c.radius * c.radius / n2)
 
 
-@dataclass(frozen=True)
-class PredicateResult:
+class PredicateResult(NamedTuple):
     """Boolean verdict plus the scale-normalized signed residual behind it."""
 
     ok: bool

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadAngleOrder,
@@ -32,6 +32,7 @@ from .geom2d import (
     Circle2,
     Line2,
     Point2,
+    Slotted,
     Tolerance,
 )
 from .moebius import INFINITY, ExtendedPoint, absolute_ratio
@@ -108,8 +109,7 @@ def rho(model: Model, x: Point2, y: Point2) -> float:
     return rho_halfplane(x, y) if model is Model.HALF_PLANE else rho_disk(x, y)
 
 
-@dataclass(frozen=True)
-class OrthoCircle:
+class OrthoCircle(NamedTuple):
     """Circle S(a, r_a) orthogonal to the unit circle: |a|^2 = 1 + r_a^2."""
 
     a: Point2
@@ -138,8 +138,7 @@ def ortho_circle_through(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> 
     return OrthoCircle(Point2.from_complex(a), r_a)
 
 
-@dataclass(frozen=True)
-class Geodesic:
+class Geodesic(Slotted):
     """A hyperbolic geodesic: model, Euclidean carrier, ordered ideal endpoints.
 
     The endpoints are labelled so that x_*, x, y, y_* occur in this order
@@ -147,9 +146,12 @@ class Geodesic:
     :data:`INFINITY`.
     """
 
-    model: Model
-    carrier: Carrier
-    ideal_endpoints: tuple[ExtendedPoint, ExtendedPoint]
+    __slots__ = ("model", "carrier", "ideal_endpoints")
+
+    def __init__(self, model: Model, carrier: Carrier, ideal_endpoints: tuple[ExtendedPoint, ExtendedPoint]):
+        self.model = model
+        self.carrier = carrier
+        self.ideal_endpoints = ideal_endpoints
 
 
 def signed_arc_angle(p: Point2, ortho: OrthoCircle) -> float:

@@ -9,7 +9,7 @@ matrices, which sidesteps orientation bookkeeping entirely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import RepeatedPoint
 from .geom2d import (
@@ -78,16 +78,14 @@ def absolute_ratio(a: ExtendedPoint, b: ExtendedPoint, c: ExtendedPoint, d: Exte
     return (_gap(a, c) * _gap(b, d)) / (_gap(a, b) * _gap(c, d))
 
 
-@dataclass(frozen=True)
-class Reflection:
+class Reflection(NamedTuple):
     """Reflection in the line {x : x.a = t}; fixes infinity."""
 
     a: Point2
     t: float
 
 
-@dataclass(frozen=True)
-class Inversion:
+class Inversion(NamedTuple):
     """Inversion in a circle; swaps the center with infinity."""
 
     circle: Circle2
@@ -96,8 +94,7 @@ class Inversion:
 Generator = Reflection | Inversion
 
 
-@dataclass(frozen=True)
-class MoebiusMap2:
+class MoebiusMap2(NamedTuple):
     """Composition of generators applied left to right; () is the identity."""
 
     generators: tuple[Generator, ...] = ()

@@ -8,9 +8,8 @@ to mathematical orientation (noted in the header comment of every file).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .geom2d import Circle2, Line2, Point2
+from .geom2d import Circle2, Line2, Point2, Slotted
 from .hypmetric import Geodesic, Model
 from .constructions.trace import ConstructionTrace
 
@@ -26,19 +25,26 @@ DEFAULT_STYLES = {
 }
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(Slotted):
     """Canvas size, viewport and styling for one figure."""
 
-    width: int = 640
-    height: int = 640
-    viewport: tuple[float, float, float, float] | None = None  # xmin, xmax, ymin, ymax
-    labels: bool = True
-    styles: dict = field(default_factory=dict)
+    __slots__ = ("width", "height", "viewport", "labels", "styles")
 
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"canvas must be positive, got {self.width}x{self.height}")
+    def __init__(
+        self,
+        width: int = 640,
+        height: int = 640,
+        viewport: tuple[float, float, float, float] | None = None,  # xmin, xmax, ymin, ymax
+        labels: bool = True,
+        styles: dict | None = None,
+    ):
+        if width <= 0 or height <= 0:
+            raise ValueError(f"canvas must be positive, got {width}x{height}")
+        self.width = width
+        self.height = height
+        self.viewport = viewport
+        self.labels = labels
+        self.styles = {} if styles is None else styles
 
     def style(self, cls: str) -> str:
         return self.styles.get(cls, DEFAULT_STYLES[cls])

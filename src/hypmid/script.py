@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constructions.trace import OPS, run_op
 from .errors import GeometryError
-from .geom2d import DEFAULT_TOL, ORIGIN, Circle2, Line2, Point2, Selector, Tolerance
+from .geom2d import DEFAULT_TOL, ORIGIN, Circle2, Line2, Point2, Selector, Slotted, Tolerance
 from .hypmetric import Model
 
 BUILTINS = {
@@ -93,67 +94,96 @@ class RuntimeGeometryError(ScriptError):
 # AST
 
 
-@dataclass(frozen=True)
-class PointLit:
-    x: float
-    y: float
+class PointLit(Slotted):
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: float, y: float):
+        self.x = x
+        self.y = y
 
 
-@dataclass(frozen=True)
-class Ref:
-    name: str
+class Ref(Slotted):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class SelectorNode:
-    kind: str
-    anchor: object = None  # Ref | PointLit | Call
+class SelectorNode(Slotted):
+    __slots__ = ("kind", "anchor")
+
+    def __init__(self, kind: str, anchor=None):
+        self.kind = kind
+        self.anchor = anchor  # Ref | PointLit | Call
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    args: tuple  # Ref | PointLit | Call | float | str (model tag)
+class Call(Slotted):
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn: str, args: tuple):
+        self.fn = fn
+        self.args = args  # Ref | PointLit | Call | float | str (model tag)
 
 
-@dataclass(frozen=True)
-class Binding:
-    keyword: str | None  # point | line | circle | geodesic | None (point op)
-    name: str
-    expr: object
-    comment: str | None = None
-    line: int = field(default=0, compare=False)
+class _Item(Slotted):
+    """A line of a program; its source ``line`` is left out of ``==`` and hash."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__ if f != "line"])
 
 
-@dataclass(frozen=True)
-class Assertion:
-    check: Call
-    tolerance: float | None = None
-    comment: str | None = None
-    line: int = field(default=0, compare=False)
+class Binding(_Item):
+    __slots__ = ("keyword", "name", "expr", "comment", "line")
+
+    def __init__(self, keyword: str | None, name: str, expr, comment: str | None = None, line: int = 0):
+        self.keyword = keyword  # point | line | circle | geodesic | None (point op)
+        self.name = name
+        self.expr = expr
+        self.comment = comment
+        self.line = line
 
 
-@dataclass(frozen=True)
-class Output:
-    name: str
-    comment: str | None = None
-    line: int = field(default=0, compare=False)
+class Assertion(_Item):
+    __slots__ = ("check", "tolerance", "comment", "line")
+
+    def __init__(self, check: Call, tolerance: float | None = None, comment: str | None = None, line: int = 0):
+        self.check = check
+        self.tolerance = tolerance
+        self.comment = comment
+        self.line = line
 
 
-@dataclass(frozen=True)
-class Comment:
-    text: str
-    line: int = field(default=0, compare=False)
+class Output(_Item):
+    __slots__ = ("name", "comment", "line")
+
+    def __init__(self, name: str, comment: str | None = None, line: int = 0):
+        self.name = name
+        self.comment = comment
+        self.line = line
 
 
-@dataclass(frozen=True)
-class Blank:
-    line: int = field(default=0, compare=False)
+class Comment(_Item):
+    __slots__ = ("text", "line")
+
+    def __init__(self, text: str, line: int = 0):
+        self.text = text
+        self.line = line
 
 
-@dataclass(frozen=True)
-class Program:
-    items: tuple
+class Blank(_Item):
+    __slots__ = ("line",)
+
+    def __init__(self, line: int = 0):
+        self.line = line
+
+
+class Program(Slotted):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple):
+        self.items = items
 
     def statements(self):
         for item in self.items:
@@ -172,8 +202,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # number | name | punct | end
     text: str
     column: int
@@ -472,8 +501,7 @@ def format_program(p: Program) -> str:
 # Evaluation
 
 
-@dataclass(frozen=True)
-class AssertionOutcome:
+class AssertionOutcome(NamedTuple):
     line: int
     text: str
     residual: float
@@ -481,6 +509,8 @@ class AssertionOutcome:
     passed: bool
 
 
+# The one record of the kit kept as a dataclass: perfbench/test_bench.py
+# builds a tampered copy of a result with dataclasses.replace.
 @dataclass(frozen=True)
 class EvaluationResult:
     bindings: dict

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constructions import (
+    AGREEMENT_TOL,
+    SUITES,
     b2_case1,
     b2_equal_moduli,
     b2_method_I,
@@ -41,13 +43,11 @@ from .hypmetric import (
     rho_via_cross_ratio,
 )
 
-AGREEMENT_TOL = 1e-8
 IDENTITY_TOL = 1e-9
 RATIO_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     """Sampling plan for a verification sweep; identical seeds give identical reports."""
 
     samples: int = 1000
@@ -59,8 +59,7 @@ class SweepConfig:
     tolerance: float = AGREEMENT_TOL
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     samples: int
     max_residual: float
@@ -366,8 +365,15 @@ def check_prop47(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL, semicircle_case
     ]
 
 
-def check_case1_constructions(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
-    """Vertical / diameter special cases against the oracle."""
+def check_case1_constructions(
+    cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL, models: tuple[Model, ...] = (Model.HALF_PLANE, Model.DISK)
+) -> list[CheckResult]:
+    """Vertical / diameter special cases of ``models`` against the oracle.
+
+    Every sample draws the inputs of both models, so a model's results do not
+    depend on which models run.
+    """
+    run_h2, run_b2 = Model.HALF_PLANE in models, Model.DISK in models
     rng = random.Random(cfg.seed)
     n = max(1, cfg.samples // 10)
     worst_h2 = 0.0
@@ -378,52 +384,53 @@ def check_case1_constructions(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) ->
         h1, h2 = rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0)
         if abs(h1 - h2) < 1e-3:
             continue
-        x, y = Point2(x1, h1), Point2(x1, h2)
-        res = h2_case1(x, y, tol)
-        worst_h2 = max(worst_h2, (res.z - midpoint_oracle(Model.HALF_PLANE, x, y, tol)).norm())
+        if run_h2:
+            x, y = Point2(x1, h1), Point2(x1, h2)
+            res = h2_case1(x, y, tol)
+            worst_h2 = max(worst_h2, (res.z - midpoint_oracle(Model.HALF_PLANE, x, y, tol)).norm())
 
         th = rng.uniform(0.0, math.tau)
         d = Point2(math.cos(th), math.sin(th))
         t1, t2 = rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)
         if abs(t1 - t2) < 1e-3:
             continue
-        x, y = d * t1, d * t2
-        res = b2_case1(x, y, tol)
-        worst_b2 = max(worst_b2, (res.z - midpoint_oracle(Model.DISK, x, y, tol)).norm())
+        if run_b2:
+            x, y = d * t1, d * t2
+            res = b2_case1(x, y, tol)
+            worst_b2 = max(worst_b2, (res.z - midpoint_oracle(Model.DISK, x, y, tol)).norm())
 
         r = rng.uniform(0.1, cfg.max_modulus)
         a1 = rng.uniform(0.0, math.tau)
         a2 = a1 + rng.uniform(0.1, 2.0)
         x, y = Point2(r * math.cos(a1), r * math.sin(a1)), Point2(r * math.cos(a2), r * math.sin(a2))
-        if abs(x.cross(y)) / (x.norm() * y.norm()) < cfg.min_margin:
-            continue
-        res = b2_equal_moduli(x, y, tol)
-        worst_eq = max(worst_eq, (res.z - midpoint_oracle(Model.DISK, x, y, tol)).norm())
-    return [
-        _result("h2 vertical case vs oracle", n, worst_h2, cfg.tolerance),
-        _result("b2 diameter case vs oracle", n, worst_b2, cfg.tolerance),
-        _result("b2 equal-moduli case vs oracle", n, worst_eq, cfg.tolerance),
-    ]
-
-
-SUITES = ("h2", "b2", "all")
+        if run_b2 and abs(x.cross(y)) / (x.norm() * y.norm()) >= cfg.min_margin:
+            res = b2_equal_moduli(x, y, tol)
+            worst_eq = max(worst_eq, (res.z - midpoint_oracle(Model.DISK, x, y, tol)).norm())
+    results = []
+    if run_h2:
+        results.append(_result("h2 vertical case vs oracle", n, worst_h2, cfg.tolerance))
+    if run_b2:
+        results.append(_result("b2 diameter case vs oracle", n, worst_b2, cfg.tolerance))
+        results.append(_result("b2 equal-moduli case vs oracle", n, worst_eq, cfg.tolerance))
+    return results
 
 
 def run_suite(suite: str, cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
     if suite not in SUITES:
         raise ValueError(f"suite must be one of {SUITES}, got {suite!r}")
+    models = (Model.HALF_PLANE, Model.DISK) if suite == "all" else (Model(suite),)
     results: list[CheckResult] = []
-    if suite in ("h2", "all"):
+    if Model.HALF_PLANE in models:
         results.append(check_metric_agreement(Model.HALF_PLANE, cfg, tol))
         results.extend(check_h2_concurrency(cfg, tol))
         results.extend(check_h2_identities(cfg, tol))
         results.extend(check_projection(cfg, tol))
-    if suite in ("b2", "all"):
+    if Model.DISK in models:
         results.append(check_metric_agreement(Model.DISK, cfg, tol))
         results.extend(check_b2_concurrency(cfg, tol))
         results.extend(check_b2_identities(cfg, tol))
         results.extend(check_scale_chain(cfg, tol))
         results.append(check_prop48_sweep(cfg, tol))
         results.extend(check_prop47(cfg, tol))
-    results.extend(check_case1_constructions(cfg, tol))
+    results.extend(check_case1_constructions(cfg, tol, models))
     return results

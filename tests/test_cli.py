@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 from importlib import resources
 
 import pytest
@@ -84,6 +89,22 @@ class TestVerify:
     def test_zero_samples_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--samples", "0")
         assert code == 64
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+    def test_bad_tol_usage_error(self, capsys, value):
+        code, out, err = run(capsys, "verify", "--suite", "h2", "--samples", "5", "--tol", value)
+        assert code == 64
+        assert out == ""
+        assert "error: --tol must be finite and positive" in err
+
+    def test_each_suite_runs_only_its_models_checks(self, capsys):
+        lines = {}
+        for suite in ("h2", "b2", "all"):
+            _, out, _ = run(capsys, "verify", "--suite", suite, "--samples", "20", "--seed", "3")
+            lines[suite] = out.splitlines()[:-1]  # the checks, without the summary line
+        assert not any("b2" in line for line in lines["h2"])
+        assert not any("h2" in line for line in lines["b2"])
+        assert sorted(lines["h2"] + lines["b2"]) == sorted(lines["all"])
 
 
 class TestScript:
@@ -198,6 +219,31 @@ def test_bad_tolerance_env_is_usage_error(monkeypatch, capsys, value):
     assert out == ""
     assert err.startswith("error: HYPMID_TOL=")
     assert "Traceback" not in err
+
+
+def test_cli_import_loads_only_what_midpoint_runs():
+    # a fresh interpreter, so that no other test has imported the lazy modules
+    probe = textwrap.dedent(
+        """
+        import sys
+        before = set(sys.modules)
+        from hypmid import cli
+        lazy = ("dataclasses", "hypmid.script", "hypmid.render", "hypmid.sweeps")
+        print(sorted(m for m in lazy if m in sys.modules and m not in before))
+        print(cli.main(["verify", "--suite", "h2", "--samples", "5"]))
+        print("hypmid.sweeps" in sys.modules, "dataclasses" in set(sys.modules) - before)
+        """
+    )
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert "h2 vertical case vs oracle" in proc.stdout
+    assert lines[-2:] == ["0", "True False"]
 
 
 def test_json_output_is_sorted_and_stable(capsys):

@@ -272,9 +272,7 @@ class TestDispatch:
     def test_oracle_flag(self):
         res = midpoint(Model.DISK, Point2(0.5, 0), Point2(0, 0.25))
         assert not res.oracle_disagrees()
-        import dataclasses
-
-        fake = dataclasses.replace(res, oracle_distance=1e-3)
+        fake = res._replace(oracle_distance=1e-3)
         assert fake.oracle_disagrees()
 
     def test_unknown_method(self):
@@ -472,6 +470,17 @@ def test_recorded_step_kinds_are_table_keys():
     kinds = {step.kind for trace in traces for step in trace.steps}
     assert kinds <= set(OPS)
     assert {"intersect_unit_ortho", "intersect_radius_ortho", "reflect_real", "circle"} <= kinds
+
+
+def test_no_traced_object_is_a_tuple():
+    # render.render_trace leaves tuple-valued objects out of a figure
+    x, y = Point2(0.5, 0.1), Point2(0.1, 0.3)
+    traces = [make() for make in SCRIPT_CASES.values()]
+    traces += [midpoint(Model.DISK, x, y, m).trace for m in ("I", "II", "III", "IV", "V", "VI", "angles")]
+    traces += [f(Point2(1, 1), Point2(2.5, 0.7)).trace for f in (h2_method_I, h2_method_II, h2_method_III, h2_method_IV)]
+    for trace in traces:
+        for name, value in trace.objects():
+            assert not isinstance(value, tuple), (trace.method_id, name, value)
 
 
 def test_moebius_transport_halfplane_to_disk():

@@ -25,6 +25,7 @@ from hypmid.geom2d import (
     Circle2,
     Line2,
     Point2,
+    Selector,
     Tolerance,
     circle_on_diameter,
     circle_through,
@@ -45,6 +46,35 @@ from hypmid.geom2d import (
 
 UNIT = Circle2(ORIGIN, 1.0)
 X_AXIS = Line2(Point2(0.0, 1.0), 0.0)
+
+
+class TestValues:
+    def test_point_repr_eq_hash(self):
+        p = Point2(0.5, 0.0)
+        assert repr(p) == "Point2(x1=0.5, x2=0.0)"
+        assert p == Point2(0.5, 0.0) and hash(p) == hash(Point2(0.5, 0.0))
+        assert p != Point2(0.5, 1e-300)
+        assert len({p, Point2(0.5, 0.0), Point2(0.0, 0.5)}) == 2
+
+    def test_point_is_not_a_tuple(self):
+        p = Point2(0.5, 0.0)
+        assert not isinstance(p, tuple)
+        assert p != (0.5, 0.0) and (0.5, 0.0) != p
+
+    def test_values_compare_by_fields(self):
+        assert X_AXIS == Line2(Point2(0.0, 1.0), 0.0, provenance=None)
+        assert X_AXIS.provenance is None
+        assert hash(Circle2(ORIGIN, 1.0)) == hash(Circle2(Point2(0.0, 0.0), 1.0))
+        assert Circle2(ORIGIN, 1.0) != Circle2(ORIGIN, 2.0)
+        assert Circle2(ORIGIN, 1.0) != Line2(Point2(0.0, 1.0), 1.0)
+        assert Selector("upper").anchor is None
+        assert repr(Circle2(ORIGIN, 1.0)) == "Circle2(center=Point2(x1=0.0, x2=0.0), radius=1.0)"
+
+    def test_validation_kept(self):
+        with pytest.raises(DegenerateInput, match=r"circle radius must be finite and > 0, got 0\.0"):
+            Circle2(Point2(1.0, 2.0), 0.0)
+        with pytest.raises(ValueError, match=r"require 0 < eps_degenerate <= eps_incidence, got 1e-06, 1e-09"):
+            Tolerance(eps_incidence=1e-9, eps_degenerate=1e-6)
 
 
 def test_tolerance_ordering_enforced():

@@ -78,6 +78,22 @@ class TestFormatting:
         assert "# trailing note" in text
         assert "# another" in text
 
+    def test_line_numbers_left_out_of_equality(self):
+        def program(first: int) -> script.Program:
+            check = script.Call("equals", (script.Ref("x"), script.Ref("origin")))
+            return script.Program((
+                script.Comment(" note", line=first),
+                script.Binding("point", "x", script.PointLit(0.5, 0.0), line=first + 1),
+                script.Assertion(check, 1e-3, line=first + 2),
+                script.Output("x", line=first + 3),
+                script.Blank(line=first + 4),
+            ))
+
+        assert program(1) == program(11)
+        assert hash(program(1)) == hash(program(11))
+        assert program(1).items[1].line == 2 and program(11).items[1].line == 12
+        assert program(1) != script.Program(program(1).items[1:])
+
     @pytest.mark.parametrize("entry", corpus_files(), ids=lambda e: e.name)
     def test_corpus_round_trip(self, entry):
         source = entry.read_text(encoding="utf-8")

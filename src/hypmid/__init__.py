@@ -21,7 +21,7 @@ from .hypmetric import (
     rho_halfplane,
     rho_via_cross_ratio,
 )
-from .moebius import INFINITY, MoebiusMap2, absolute_ratio, chordal
+from .moebius import INFINITY, absolute_ratio
 from .constructions import MidpointResult, midpoint
 
 __version__ = "0.1.0"
@@ -34,13 +34,11 @@ __all__ = [
     "Line2",
     "MidpointResult",
     "Model",
-    "MoebiusMap2",
     "ORIGIN",
     "OrthoCircle",
     "Point2",
     "Tolerance",
     "absolute_ratio",
-    "chordal",
     "geodesic_of",
     "midpoint",
     "midpoint_disk_angles",

@@ -1,4 +1,8 @@
-"""Compass-and-ruler midpoint constructions, diagnostics, and dispatch."""
+"""Compass-and-ruler midpoint constructions and dispatch.
+
+The per-lemma diagnostics live in :mod:`hypmid.constructions.reports`, which
+only the sweeps import.
+"""
 
 from .disk import (
     DISK_METHODS,
@@ -13,19 +17,6 @@ from .disk import (
 )
 from .dispatch import AGREEMENT_TOL, H2_METHODS, METHOD_NAMES, SUITES, midpoint
 from .halfplane import AXIS, h2_case1, h2_method_I, h2_method_II, h2_method_III, h2_method_IV
-from .reports import (
-    CONDITION_NOT_MET,
-    FAIL,
-    PASS,
-    Claim,
-    DiagnosticsReport,
-    OrthogonalityCheck,
-    lemma31_report,
-    lemma46_report,
-    prop47_report,
-    prop48_orthogonality,
-    semicircle_residual,
-)
 from .trace import (
     ORACLE_FLAG_THRESHOLD,
     ConstructionStep,
@@ -37,19 +28,13 @@ from .trace import (
 __all__ = [
     "AGREEMENT_TOL",
     "AXIS",
-    "CONDITION_NOT_MET",
-    "Claim",
     "ConstructionStep",
     "ConstructionTrace",
     "DISK_METHODS",
-    "DiagnosticsReport",
-    "FAIL",
     "H2_METHODS",
     "METHOD_NAMES",
     "MidpointResult",
     "ORACLE_FLAG_THRESHOLD",
-    "OrthogonalityCheck",
-    "PASS",
     "PointChain",
     "SUITES",
     "TraceBuilder",
@@ -64,11 +49,6 @@ __all__ = [
     "h2_method_II",
     "h2_method_III",
     "h2_method_IV",
-    "lemma31_report",
-    "lemma46_report",
     "midpoint",
-    "prop47_report",
-    "prop48_orthogonality",
     "scale_sequence",
-    "semicircle_residual",
 ]

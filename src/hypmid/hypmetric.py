@@ -3,13 +3,13 @@
 Supports the upper half-plane (points with x2 > 0, geodesics are vertical
 lines and semicircles centered on the real axis) and the Poincare unit disk
 (points with |x| < 1, geodesics are diameters and arcs orthogonal to the unit
-circle).  The bisection midpoint oracle shares one call with the
-constructions: :func:`geodesic_of`, which gives its carrier and runs the
-domain and distinct-points checks of :func:`pair_kind`.  Disk methods III-VI
-and half-plane method II take their ideal endpoints from it, and
-``make_midpoint_result`` measures every result's carrier residual against it.
-The oracle's parametrization of the carrier and its bisection test are its
-own; a carrier that ``geodesic_of`` got wrong would mislead both sides.
+circle).  The midpoint oracle is one symmetric closed form per model,
+evaluated without cancellation; it builds no carrier, and shares only the
+domain and distinct-points checks of :func:`pair_kind` with the
+constructions.  :func:`geodesic_of` gives the constructions their carriers:
+disk methods III-VI and half-plane method II take their ideal endpoints from
+it, and ``make_midpoint_result`` measures every result's carrier residual
+against it.
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ class Model(enum.Enum):
 
 
 def in_domain(model: Model, p: Point2) -> bool:
+    # chained comparisons are False on nan and exclude both infinities
     if model is Model.HALF_PLANE:
-        return p.x2 > 0.0
+        return 0.0 < p.x2 < math.inf and -math.inf < p.x1 < math.inf
     return p.norm() < 1.0
 
 
@@ -289,66 +290,62 @@ def midpoint_disk_angles(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> 
     return arc_point(delta, ortho)
 
 
-def _geodesic_parametrization(g: Geodesic, x: Point2, y: Point2):
-    # t in [0, 1] -> carrier point (m1, m2) from x to y: x + t (y - x) on lines;
-    # on circles x plus the chord 2r sin(t delta/2) (-sin, cos)(a_x + t delta/2),
-    # which stays accurate to the chord length where c + r (cos, sin) would
-    # lose r eps on near-diameter carriers
-    x1, x2 = x.x1, x.x2
-    if isinstance(g.carrier, Line2):
-        d1, d2 = y.x1 - x1, y.x2 - x2
-        return lambda t: (x1 + t * d1, x2 + t * d2)
-    center, r = g.carrier.center, g.carrier.radius
-    ax = math.atan2(x2 - center.x2, x1 - center.x1)
-    ay = math.atan2(y.x2 - center.x2, y.x1 - center.x1)
-    half = 0.5 * math.remainder(ay - ax, math.tau)
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    # Dekker: a b = p + e exactly, with each factor split by Veltkamp into a
+    # 26-bit high part and the rest (Python 3.11 has no math.fma)
+    p = a * b
+    c = 134217729.0 * a  # 2**27 + 1
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    c = 134217729.0 * b
+    b_hi = c - (c - b)
+    b_lo = b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
-    def gamma(t: float) -> tuple[float, float]:
-        h = t * half
-        chord, a = 2.0 * r * math.sin(h), ax + h
-        return x1 - chord * math.sin(a), x2 + chord * math.cos(a)
 
-    return gamma
+def _one_minus_dot(a1: float, a2: float, b1: float, b2: float) -> float:
+    """1 - a1 b1 - a2 b2 to a few ulps, also where it cancels to ~1e-6 near S1.
+
+    Both products are exact two-products p + e; both subtractions are
+    TwoSums s + t, whose rounding errors t are added back with the e's.
+    """
+    p1, e1 = _two_product(a1, b1)
+    p2, e2 = _two_product(a2, b2)
+    s1 = 1.0 - p1
+    z = s1 - 1.0
+    t1 = (1.0 - (s1 - z)) - (p1 + z)
+    s2 = s1 - p2
+    z = s2 - s1
+    t2 = (s1 - (s2 - z)) - (p2 + z)
+    return s2 + (((t1 + t2) - e1) - e2)
 
 
 def midpoint_oracle(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Point2:
-    """Midpoint by bisection along the geodesic arc from x to y.
+    """Midpoint by a symmetric closed form with no cancelling terms.
 
-    Parametrizes the carrier (angle on circles, arclength on lines) and
-    bisects on the sign of f(m) = |x-m|^2 w(y) - |m-y|^2 w(x), with w = x2 in
-    h2 and w = 1 - |.|^2 in b2: f has the sign of rho(x,m) - rho(m,y), since
-    the factor in m of cosh rho (h2) or sinh^2(rho/2) (b2) is the same on both
-    sides.  The parameter starts at the end with the smaller w, which the
-    midpoint is nearer to.  Stops at parameter resolution (the next parameter
-    equals an end of the bracket) or at f == 0, after at most 200 halvings.
-    The domain and distinct-points checks run once, in :func:`geodesic_of`.
+    h2, with s = x2 + y2: z = ((x1 y2 + y1 x2) / s,
+    sqrt(x2 y2) sqrt(4 x2 y2 + |x - y|^2) / s), the normalized sum of the
+    two points on the hyperboloid.  b2, Ungar's Moebius gyromidpoint: with
+    a = 1 - |y|^2, b = 1 - |x|^2 and d = a + b - ab (= 1 - |x|^2 |y|^2),
+    z = (a x + b y) / (d + sqrt(ab |1 - conj(x) y|^2)).  a, b and
+    Re(1 - conj(x) y) come from :func:`_one_minus_dot`, so the sums keep full
+    relative precision near S1.  The domain and distinct-points checks run
+    once, in :func:`pair_kind`.
     """
-    g = geodesic_of(model, x, y, tol)
-    if model is Model.HALF_PLANE:
-        wx, wy = x.x2, y.x2
-    else:
-        wx, wy = 1.0 - x.norm_sq(), 1.0 - y.norm_sq()
-    if wy < wx:
-        # |x-m| : |m-y| = sqrt(w(x)) : sqrt(w(y)), so start at the end the
-        # midpoint is nearer to, where the parameter resolves finer
-        x, y, wx, wy = y, x, wy, wx
-    gamma = _geodesic_parametrization(g, x, y)
+    pair_kind(model, x, y, tol)
     x1, x2, y1, y2 = x.x1, x.x2, y.x1, y.x2
-    lo, hi, mid = 0.0, 1.0, 0.5
-    for _ in range(200):
-        m1, m2 = gamma(mid)
-        d1, d2, e1, e2 = x1 - m1, x2 - m2, m1 - y1, m2 - y2
-        f = (d1 * d1 + d2 * d2) * wy - (e1 * e1 + e2 * e2) * wx
-        if f == 0.0:
-            break
-        if f < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-    return Point2(m1, m2)
+    if model is Model.HALF_PLANE:
+        # weights y2/s, x2/s and sqrt(x2) sqrt(y2): no product of two coordinates
+        # is formed, so coordinates up to ~1e307 do not overflow
+        s = x2 + y2
+        g = math.sqrt(x2) * math.sqrt(y2)
+        return Point2(x1 * (y2 / s) + y1 * (x2 / s), g * (math.hypot(2.0 * g, x1 - y1, x2 - y2) / s))
+    a = _one_minus_dot(y1, y2, y1, y2)
+    b = _one_minus_dot(x1, x2, x1, x2)
+    re = _one_minus_dot(x1, x2, y1, y2)
+    im = x1 * y2 - x2 * y1
+    den = ((a + b) - a * b) + math.sqrt(a * b * (re * re + im * im))
+    return Point2((a * x1 + b * y1) / den, (a * x2 + b * y2) / den)
 
 
 def projection_pr(x: Point2, tol: Tolerance = DEFAULT_TOL) -> Point2:

@@ -1,25 +1,17 @@
-"""Chordal metric, absolute (cross) ratio, and Moebius maps as generator lists.
+"""Chordal metric and absolute (cross) ratio on the extended plane.
 
 The point at infinity is a first-class value (:data:`INFINITY`) and every
-formula branches on it explicitly.  Maps are stored as ordered lists of the
-two generator types (reflections in lines, inversions in circles) rather than
-matrices, which sidesteps orientation bookkeeping entirely.
+formula branches on it explicitly.  Moebius maps themselves are compositions
+of :func:`hypmid.geom2d.reflect_in_line` and
+:func:`hypmid.geom2d.invert_in_circle`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import RepeatedPoint
-from .geom2d import (
-    DEFAULT_TOL,
-    Circle2,
-    Point2,
-    Tolerance,
-    invert_in_circle,
-    reflect_in_line,
-)
+from .geom2d import Point2
 
 
 class _InfinityType:
@@ -76,48 +68,3 @@ def absolute_ratio(a: ExtendedPoint, b: ExtendedPoint, c: ExtendedPoint, d: Exte
             if chordal(pts[i], pts[j]) == 0.0:
                 raise RepeatedPoint(f"absolute ratio needs pairwise distinct points, got repeat at positions {i},{j}")
     return (_gap(a, c) * _gap(b, d)) / (_gap(a, b) * _gap(c, d))
-
-
-class Reflection(NamedTuple):
-    """Reflection in the line {x : x.a = t}; fixes infinity."""
-
-    a: Point2
-    t: float
-
-
-class Inversion(NamedTuple):
-    """Inversion in a circle; swaps the center with infinity."""
-
-    circle: Circle2
-
-
-Generator = Reflection | Inversion
-
-
-class MoebiusMap2(NamedTuple):
-    """Composition of generators applied left to right; () is the identity."""
-
-    generators: tuple[Generator, ...] = ()
-
-    def then(self, gen: Generator) -> "MoebiusMap2":
-        return MoebiusMap2(self.generators + (gen,))
-
-
-def _apply_generator(gen: Generator, p: ExtendedPoint, tol: Tolerance) -> ExtendedPoint:
-    if isinstance(gen, Reflection):
-        if is_infinite(p):
-            return INFINITY
-        return reflect_in_line(p, gen.a, gen.t)
-    circle = gen.circle
-    if is_infinite(p):
-        return circle.center
-    if (p - circle.center).norm() <= tol.eps_degenerate * (1.0 + circle.radius):
-        return INFINITY
-    return invert_in_circle(p, circle, tol)
-
-
-def apply(map_: MoebiusMap2, p: ExtendedPoint, tol: Tolerance = DEFAULT_TOL) -> ExtendedPoint:
-    """Apply the generator list in order, with infinity handled per generator."""
-    for gen in map_.generators:
-        p = _apply_generator(gen, p, tol)
-    return p

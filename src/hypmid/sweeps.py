@@ -23,11 +23,13 @@ from .constructions import (
     h2_method_II,
     h2_method_III,
     h2_method_IV,
+    scale_sequence,
+)
+from .constructions.reports import (
     lemma31_report,
     lemma46_report,
     prop47_report,
     prop48_orthogonality,
-    scale_sequence,
     semicircle_residual,
 )
 from .errors import GeometryError, MethodInapplicable

@@ -73,6 +73,13 @@ class TestMidpoint:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("x", ["inf,1", "nan,1"])
+    def test_non_finite_h2_point_is_outside_domain(self, capsys, x):
+        code, out, err = run(capsys, "midpoint", "--model", "h2", "--x", x, "--y", "0,1")
+        assert code == 1
+        assert err.startswith("error: ") and err.rstrip().endswith("is not in the h2 domain")
+        assert "Traceback" not in err and out == ""
+
 
 class TestVerify:
     def test_small_suite_passes(self, capsys):
@@ -228,7 +235,7 @@ def test_cli_import_loads_only_what_midpoint_runs():
         import sys
         before = set(sys.modules)
         from hypmid import cli
-        lazy = ("dataclasses", "hypmid.script", "hypmid.render", "hypmid.sweeps")
+        lazy = ("dataclasses", "hypmid.script", "hypmid.render", "hypmid.sweeps", "hypmid.constructions.reports")
         print(sorted(m for m in lazy if m in sys.modules and m not in before))
         print(cli.main(["verify", "--suite", "h2", "--samples", "5"]))
         print("hypmid.sweeps" in sys.modules, "dataclasses" in set(sys.modules) - before)

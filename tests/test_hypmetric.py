@@ -1,4 +1,4 @@
-"""Metric formulas, geodesics, closed-form midpoints, the bisection oracle."""
+"""Metric formulas, geodesics, closed-form midpoints, the midpoint oracle."""
 
 import math
 import random
@@ -10,13 +10,15 @@ from hypothesis import given
 from conftest import disk_points, halfplane_points
 from hypmid.errors import (
     BadAngleOrder,
+    CenterInversion,
     CollinearWithOrigin,
     DegenerateInput,
     NotOnArc,
     NotOnUnitCircle,
     OutsideDomain,
 )
-from hypmid.geom2d import Circle2, Line2, Point2
+from hypmid import hypmetric
+from hypmid.geom2d import Circle2, Line2, Point2, invert_in_circle
 from hypmid.hypmetric import (
     Model,
     OrthoCircle,
@@ -34,7 +36,7 @@ from hypmid.hypmetric import (
     rho_via_cross_ratio,
     signed_arc_angle,
 )
-from hypmid.moebius import INFINITY, Inversion, MoebiusMap2, apply, is_infinite
+from hypmid.moebius import INFINITY, is_infinite
 
 
 class TestDistances:
@@ -285,6 +287,8 @@ class TestOracle:
             (Model.DISK, Point2(0.5, 0), Point2(1.2, 0), OutsideDomain),
             (Model.HALF_PLANE, Point2(0.3, 2), Point2(0.3, 2), DegenerateInput),
             (Model.DISK, Point2(0.3, 0.4), Point2(0.3, 0.4), DegenerateInput),
+            (Model.HALF_PLANE, Point2(math.inf, 1), Point2(0, 1), OutsideDomain),
+            (Model.HALF_PLANE, Point2(math.nan, 1), Point2(0, 1), OutsideDomain),
         ],
     )
     def test_input_checks(self, model, x, y, error):
@@ -298,6 +302,24 @@ class TestOracle:
         c = (1 + x.norm_sq()) / (2 * x.x1)
         m = midpoint_oracle(Model.DISK, x, Point2(0.3, -0.4))
         assert m.close_to(Point2(c - math.sqrt(c * c - 1), 0), 1e-15)
+
+    def test_halfplane_far_from_unit_scale(self):
+        # the h2 form multiplies no two coordinates, so 1e200 does not overflow
+        m = midpoint_oracle(Model.HALF_PLANE, Point2(0, 1e200), Point2(0, 4e200))
+        assert m.x1 == 0.0 and abs(m.x2 - 2e200) <= 1e-15 * 2e200
+        m = midpoint_oracle(Model.HALF_PLANE, Point2(1e160, 1e160), Point2(-1e160, 1e160))
+        assert abs(m.x1) <= 1e-15 * 1e160 and abs(m.x2 - math.sqrt(2) * 1e160) <= 1e-15 * 1e160
+
+    def test_needs_no_geodesic(self, monkeypatch):
+        # the oracle checks the constructions, so it must not share their carrier
+        def refuse(*args, **kwargs):
+            raise AssertionError("midpoint_oracle called geodesic_of")
+
+        monkeypatch.setattr(hypmetric, "geodesic_of", refuse)
+        assert midpoint_oracle(Model.HALF_PLANE, Point2(0, 1), Point2(0, 4)).close_to(Point2(0, 2), 1e-15)
+        x, y = Point2(0.5, 0.1), Point2(-0.2, 0.6)
+        m = midpoint_oracle(Model.DISK, x, y)
+        assert abs(rho_disk(x, m) - rho_disk(m, y)) <= 1e-12
 
 
 def _reference_midpoint(model, x, y):
@@ -347,16 +369,39 @@ def _h2_vertical(rng):
     return Model.HALF_PLANE, Point2(x1, s * 10 ** rng.uniform(-3, 3)), Point2(x1, s * 10 ** rng.uniform(-3, 3))
 
 
-@pytest.mark.parametrize("band", [_b2_comfortable, _h2_scaled, _h2_vertical])
+def _near_boundary(rng):
+    return _polar(1 - 10 ** rng.uniform(-6, -3), rng.uniform(0, math.tau))
+
+
+def _b2_one_near_boundary(rng):
+    # one point 1e-6...1e-3 from S1, where 1 - |x|^2 cancels to that size
+    return Model.DISK, _near_boundary(rng), _polar(rng.uniform(0.05, 0.95), rng.uniform(0, math.tau))
+
+
+def _b2_both_near_boundary(rng):
+    return Model.DISK, _near_boundary(rng), _near_boundary(rng)
+
+
+def _b2_near_origin(rng):
+    # |x|, |y| in 1e-9...1e-3; scored relative to |z|
+    r, s = 10 ** rng.uniform(-9, -3), 10 ** rng.uniform(-9, -3)
+    return Model.DISK, _polar(r, rng.uniform(0, math.tau)), _polar(s, rng.uniform(0, math.tau))
+
+
+@pytest.mark.parametrize(
+    "band",
+    [_b2_comfortable, _h2_scaled, _h2_vertical, _b2_one_near_boundary, _b2_both_near_boundary, _b2_near_origin],
+)
 def test_oracle_accuracy_against_50_digit_reference(band):
-    # relative error: to |z| on h2, to the disk radius 1 on b2
+    # relative error: to |z| on h2 and near the origin, to the disk radius 1 elsewhere on b2
+    relative = band in (_h2_scaled, _h2_vertical, _b2_near_origin)
     rng = random.Random(2011)
     for _ in range(150):
         model, x, y = band(rng)
         for p, q in ((x, y), (y, x)):
             m = midpoint_oracle(model, p, q)
             ref = _reference_midpoint(model, p, q)
-            err = float(abs(mpmath.mpc(m.x1, m.x2) - ref) / (abs(ref) if model is Model.HALF_PLANE else 1))
+            err = float(abs(mpmath.mpc(m.x1, m.x2) - ref) / (abs(ref) if relative else 1))
             assert err <= 1e-14, (p, q, err)
 
 
@@ -407,10 +452,12 @@ def test_rho_invariant_under_disk_preserving_inversion():
         v = Point2(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
         if abs(w.cross(v)) / (w.norm() * max(v.norm(), 1e-9)) < 1e-2:
             continue
-        oc = ortho_circle_through(w, v)  # inversion circle orthogonal to S1
-        m = MoebiusMap2((Inversion(oc.as_circle()),))
-        fx, fy = apply(m, x), apply(m, y)
-        if is_infinite(fx) or is_infinite(fy) or fx.norm() >= 1 or fy.norm() >= 1:
+        circle = ortho_circle_through(w, v).as_circle()  # inversion circle orthogonal to S1
+        try:
+            fx, fy = invert_in_circle(x, circle), invert_in_circle(y, circle)
+        except CenterInversion:
+            continue
+        if fx.norm() >= 1 or fy.norm() >= 1:
             continue
         assert abs(rho_disk(fx, fy) - rho_disk(x, y)) <= 1e-9 * (1 + rho_disk(x, y))
         checked += 1

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from hypmid.constructions import (
+from hypmid.constructions.reports import (
     CONDITION_NOT_MET,
     lemma31_report,
     lemma46_report,

@@ -40,6 +40,28 @@ def _point(text: str) -> Point2:
         raise argparse.ArgumentTypeError(f"expected 'x,y', got {text!r}") from exc
 
 
+def _attach_point_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--x -0.5,0.2`` as ``--x=-0.5,0.2`` (likewise ``--y``).
+
+    argparse reads a separate value that starts with '-' and is not a plain
+    number as an option, so a negative first coordinate would be refused.  No
+    option name holds a comma, so a comma marks the token as a point.
+    """
+    out = []
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        if arg == "--":
+            return out + argv[i:]
+        if arg in ("--x", "--y") and i + 1 < len(argv) and argv[i + 1].startswith("-") and "," in argv[i + 1]:
+            out.append(f"{arg}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(arg)
+            i += 1
+    return out
+
+
 def default_tolerance() -> Tolerance:
     """Default eps_incidence, overridable through the HYPMID_TOL variable.
 
@@ -270,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_point_values(sys.argv[1:] if argv is None else list(argv)))
     if args.command == "verify":
         if args.samples <= 0:
             parser.error("--samples must be positive")

@@ -26,7 +26,7 @@ from ..geom2d import (
     Tolerance,
     nearest_to,
 )
-from ..hypmetric import Model, PairKind, geodesic_of, pair_kind, require_in_domain, rho_disk
+from ..hypmetric import Model, OrthoCircle, PairKind, arc_ends, pair_kind, require_in_domain, rho_disk
 from .trace import ConstructionTrace, MidpointResult, TraceBuilder, make_midpoint_result
 
 UNIT_CIRCLE = Circle2(ORIGIN, 1.0)
@@ -74,8 +74,8 @@ def bisector_circle(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> tuple
 
 def _ideal_endpoint_refs(b: TraceBuilder, x: Point2, y: Point2) -> None:
     """Record x_*, y_* = carrier n S1 ordered so x_*, x, y, y_* follow the arc."""
-    g = geodesic_of(Model.DISK, x, y, b.tol)
-    xsub, ysub = g.ideal_endpoints
+    carrier = b.env["carrier"]
+    xsub, ysub = arc_ends(x, y, OrthoCircle(carrier.center, carrier.radius))
     b.step("intersect_unit_ortho", "carrier", name="xsub", label="x_*", select=nearest_to(xsub))
     b.step("intersect_unit_ortho", "carrier", name="ysub", label="y_*", select=nearest_to(ysub))
 

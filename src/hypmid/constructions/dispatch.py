@@ -3,7 +3,8 @@
 ``auto`` runs the method :data:`AUTO_METHOD` names for the pair's
 configuration; explicit methods run as requested or raise
 :class:`MethodInapplicable`.  Every result is cross-checked against the
-bisection oracle and the Euclidean distance between the two is attached.
+closed-form midpoint oracle and the Euclidean distance between the two is
+attached.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def midpoint(
     """Construct the hyperbolic midpoint of the segment from x to y.
 
     Returns the construction result with ``oracle_distance`` filled in, its
-    Euclidean distance to the bisection oracle; see
+    Euclidean distance to :func:`~hypmid.hypmetric.midpoint_oracle`; see
     :meth:`MidpointResult.oracle_disagrees` for when that marks a disagreement.
     """
     if method == "auto":

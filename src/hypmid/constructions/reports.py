@@ -36,7 +36,7 @@ from ..geom2d import (
 from ..hypmetric import (
     Model,
     PairKind,
-    geodesic_of,
+    arc_ends,
     midpoint_halfplane_unitcircle,
     ortho_circle_through,
     pair_kind,
@@ -176,8 +176,7 @@ def lemma46_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Diagno
     w, r_w = bisector_circle(x, y, tol)
     sw = Circle2(w, r_w)
     xsup, ysup = invert_unit(x, tol), invert_unit(y, tol)
-    g = geodesic_of(Model.DISK, x, y, tol)
-    xsub, ysub = g.ideal_endpoints
+    xsub, ysub = arc_ends(x, y, ortho)
     z = intersect_circle_circle(sw, sa, IN_DISK, tol)
     lz = line_through(ORIGIN, z, tol)
 
@@ -222,8 +221,7 @@ def prop47_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Diagnos
     ortho = ortho_circle_through(x, y, tol)
     sa = ortho.as_circle()
     xsup, ysup = invert_unit(x, tol), invert_unit(y, tol)
-    g = geodesic_of(Model.DISK, x, y, tol)
-    xsub, ysub = g.ideal_endpoints
+    xsub, ysub = arc_ends(x, y, ortho)
 
     b = intersect_line_line(line_through(xsub, y, tol), line_through(x, ysup, tol), tol)
     d = intersect_line_line(line_through(xsup, y, tol), line_through(xsub, ysup, tol), tol)

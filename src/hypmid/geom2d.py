@@ -165,10 +165,6 @@ class Line2(Slotted):
     def direction(self) -> Point2:
         return self.n.perp()
 
-    def foot(self, p: Point2) -> Point2:
-        """Orthogonal projection of p onto the line."""
-        return p - self.n * self.residual(p)
-
 
 class Circle2(Slotted):
     """Circle with strictly positive radius; a degenerate radius is refused."""
@@ -205,7 +201,6 @@ class Selector(Slotted):
 
 UPPER = Selector("upper")
 IN_DISK = Selector("in_disk")
-ON_BOUNDARY = Selector("boundary")
 BOTH = Selector("both")
 
 
@@ -215,19 +210,19 @@ def nearest_to(p: Point2) -> Selector:
 
 def line_through(p: Point2, q: Point2, tol: Tolerance = DEFAULT_TOL) -> Line2:
     """Line through two distinct points (the ruler primitive)."""
-    d = q - p
-    length = d.norm()
-    scale = 1.0 + p.norm() + q.norm()
-    if length <= tol.eps_degenerate * scale:
+    p1, p2, q1, q2 = p.x1, p.x2, q.x1, q.x2
+    d1, d2 = q1 - p1, q2 - p2
+    length = math.hypot(d1, d2)
+    if length <= tol.eps_degenerate * (1.0 + math.hypot(p1, p2) + math.hypot(q1, q2)):
         raise DegenerateInput(f"line through coincident points {p} ~ {q}")
-    n = Point2(-d.x2 / length, d.x1 / length)
-    return Line2(n, n.dot(p), provenance=(p, q))
+    n1, n2 = -d2 / length, d1 / length
+    return Line2(Point2(n1, n2), n1 * p1 + n2 * p2, provenance=(p, q))
 
 
 def perpendicular_through(l: Line2, p: Point2) -> Line2:
     """Line through p orthogonal to l."""
-    n = l.direction()
-    return Line2(n, n.dot(p), provenance=None)
+    n1, n2 = -l.n.x2, l.n.x1  # l.direction()
+    return Line2(Point2(n1, n2), n1 * p.x1 + n2 * p.x2, provenance=None)
 
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker/Veltkamp split
@@ -260,53 +255,65 @@ def dot2(a: float, b: float, c: float, d: float) -> float:
 
 
 def intersect_line_line(a: Line2, b: Line2, tol: Tolerance = DEFAULT_TOL) -> Point2:
-    det = det2(a.n.x1, a.n.x2, b.n.x1, b.n.x2)
+    n1, n2, m1, m2 = a.n.x1, a.n.x2, b.n.x1, b.n.x2
+    det = det2(n1, n2, m1, m2)
     if abs(det) <= tol.eps_degenerate:
         raise ParallelLines(f"lines with normals {a.n} and {b.n} are parallel")
-    x1 = det2(a.c, a.n.x2, b.c, b.n.x2) / det
-    x2 = det2(a.n.x1, a.c, b.n.x1, b.c) / det
-    return Point2(x1, x2)
+    return Point2(det2(a.c, n2, b.c, m2) / det, det2(n1, a.c, m1, b.c) / det)
 
 
 def _apply_selector(candidates, selector: Selector, tol: Tolerance, scale: float):
     # merge a tangent double root before selecting
-    if len(candidates) == 2 and (candidates[0] - candidates[1]).norm() <= tol.eps_incidence * scale:
-        candidates = [candidates[0]]
-    if selector.kind == "both":
+    if len(candidates) == 2:
+        p, q = candidates
+        if math.hypot(p.x1 - q.x1, p.x2 - q.x2) <= tol.eps_incidence * scale:
+            candidates = [p]
+    kind = selector.kind
+    if kind == "both":
         return tuple(candidates)
-    if selector.kind == "nearest":
-        if selector.anchor is None:
+    if kind == "nearest":
+        anchor = selector.anchor
+        if anchor is None:
             raise ValueError("nearest selector requires an anchor point")
-        dists = [(p - selector.anchor).norm() for p in candidates]
-        if len(candidates) == 2 and abs(dists[0] - dists[1]) <= tol.eps_degenerate * scale:
-            raise AmbiguousSelection(f"candidates equidistant from anchor {selector.anchor}")
-        return candidates[dists.index(min(dists))]
-    if selector.kind == "upper":
+        if len(candidates) == 1:
+            return candidates[0]
+        a1, a2 = anchor.x1, anchor.x2
+        p, q = candidates
+        dp = math.hypot(p.x1 - a1, p.x2 - a2)
+        dq = math.hypot(q.x1 - a1, q.x2 - a2)
+        if abs(dp - dq) <= tol.eps_degenerate * scale:
+            raise AmbiguousSelection(f"candidates equidistant from anchor {anchor}")
+        return q if dq < dp else p
+    if kind == "upper":
         kept = [p for p in candidates if p.x2 > 0.0]
-    elif selector.kind == "in_disk":
-        kept = [p for p in candidates if p.norm() < 1.0]
-    elif selector.kind == "boundary":
+    elif kind == "in_disk":
+        kept = [p for p in candidates if math.hypot(p.x1, p.x2) < 1.0]
+    elif kind == "boundary":
         kept = [p for p in candidates if abs(p.x2) <= tol.eps_incidence * (1.0 + abs(p.x1))]
     else:
-        raise ValueError(f"unknown selector kind {selector.kind!r}")
+        raise ValueError(f"unknown selector kind {kind!r}")
     if len(kept) != 1:
         raise AmbiguousSelection(
-            f"selector {selector.kind!r} matched {len(kept)} of {len(candidates)} intersection points"
+            f"selector {kind!r} matched {len(kept)} of {len(candidates)} intersection points"
         )
     return kept[0]
 
 
 def intersect_line_circle(l: Line2, c: Circle2, selector: Selector, tol: Tolerance = DEFAULT_TOL):
     """Intersection points of a line and a circle, chosen by ``selector``."""
-    dist = l.residual(c.center)
-    scale = 1.0 + c.radius + c.center.norm()
-    if abs(dist) > c.radius + tol.eps_incidence * scale:
-        raise NoIntersection(f"line misses circle by {abs(dist) - c.radius:.3e}")
+    n1, n2 = l.n.x1, l.n.x2
+    c1, c2 = c.center.x1, c.center.x2
+    r = c.radius
+    dist = (n1 * c1 + n2 * c2) - l.c
+    scale = 1.0 + r + math.hypot(c1, c2)
+    if abs(dist) > r + tol.eps_incidence * scale:
+        raise NoIntersection(f"line misses circle by {abs(dist) - r:.3e}")
     # factored difference keeps precision when the line is near-tangent
-    h = math.sqrt(max((c.radius - dist) * (c.radius + dist), 0.0))
-    base = c.center - l.n * dist
-    d = l.direction()
-    return _apply_selector([base + d * h, base - d * h], selector, tol, scale)
+    h = math.sqrt(max((r - dist) * (r + dist), 0.0))
+    # foot of the center plus and minus h along the direction (-n2, n1)
+    b1, b2 = c1 - n1 * dist, c2 - n2 * dist
+    h1, h2 = -n2 * h, n1 * h
+    return _apply_selector([Point2(b1 + h1, b2 + h2), Point2(b1 - h1, b2 - h2)], selector, tol, scale)
 
 
 def intersect_circle_circle(a: Circle2, b: Circle2, selector: Selector, tol: Tolerance = DEFAULT_TOL):
@@ -318,21 +325,25 @@ def intersect_circle_circle(a: Circle2, b: Circle2, selector: Selector, tol: Tol
     """
     if a.radius > b.radius:
         a, b = b, a
-    delta = b.center - a.center
-    d = delta.norm()
-    scale = 1.0 + a.radius + b.radius + d
+    ra, rb = a.radius, b.radius
+    a1, a2 = a.center.x1, a.center.x2
+    e1, e2 = b.center.x1 - a1, b.center.x2 - a2
+    d = math.hypot(e1, e2)
+    scale = 1.0 + ra + rb + d
     if d <= tol.eps_degenerate * scale:
         raise ConcentricCircles(f"circle centers coincide: {a.center} ~ {b.center}")
-    if d > a.radius + b.radius + tol.eps_incidence * scale:
+    if d > ra + rb + tol.eps_incidence * scale:
         raise NoIntersection("circles are disjoint (external)")
-    if d < abs(a.radius - b.radius) - tol.eps_incidence * scale:
+    if d < abs(ra - rb) - tol.eps_incidence * scale:
         raise NoIntersection("circles are disjoint (one inside the other)")
-    along = ((a.radius - b.radius) * (a.radius + b.radius) + d * d) / (2.0 * d)
-    h = math.sqrt(max((a.radius - along) * (a.radius + along), 0.0))
-    u = delta * (1.0 / d)
-    base = a.center + u * along
-    v = u.perp()
-    return _apply_selector([base + v * h, base - v * h], selector, tol, scale)
+    along = ((ra - rb) * (ra + rb) + d * d) / (2.0 * d)
+    h = math.sqrt(max((ra - along) * (ra + along), 0.0))
+    # u is the unit vector from a's center to b's; the roots sit at +/- h along u's perpendicular
+    inv_d = 1.0 / d
+    u1, u2 = e1 * inv_d, e2 * inv_d
+    b1, b2 = a1 + u1 * along, a2 + u2 * along
+    h1, h2 = -u2 * h, u1 * h
+    return _apply_selector([Point2(b1 + h1, b2 + h2), Point2(b1 - h1, b2 - h2)], selector, tol, scale)
 
 
 def circle_through(p: Point2, q: Point2, r: Point2, tol: Tolerance = DEFAULT_TOL) -> Circle2:
@@ -342,23 +353,26 @@ def circle_through(p: Point2, q: Point2, r: Point2, tol: Tolerance = DEFAULT_TOL
     through far-apart points (the inversion-point configurations) would
     otherwise lose five or six digits in the center.
     """
-    u, v = q - p, r - p
-    area2 = u.cross(v)
-    scale = 1.0 + max(u.norm_sq(), v.norm_sq(), (r - q).norm_sq())
-    if abs(area2) <= tol.eps_degenerate * scale:
+    p1, p2 = p.x1, p.x2
+    u1, u2 = q.x1 - p1, q.x2 - p2
+    v1, v2 = r.x1 - p1, r.x2 - p2
+    w1, w2 = r.x1 - q.x1, r.x2 - q.x2
+    nu, nv = u1 * u1 + u2 * u2, v1 * v1 + v2 * v2
+    scale = 1.0 + max(nu, nv, w1 * w1 + w2 * w2)
+    if abs(u1 * v2 - u2 * v1) <= tol.eps_degenerate * scale:
         raise CollinearPoints(f"points {p}, {q}, {r} are collinear")
-    d = 2.0 * det2(u.x1, u.x2, v.x1, v.x2)
-    nu, nv = u.norm_sq(), v.norm_sq()
-    center = p + Point2(det2(nu, nv, u.x2, v.x2) / d, det2(u.x1, v.x1, nu, nv) / d)
-    return Circle2(center, (p - center).norm())
+    d = 2.0 * det2(u1, u2, v1, v2)
+    c1, c2 = p1 + det2(nu, nv, u2, v2) / d, p2 + det2(u1, v1, nu, nv) / d
+    return Circle2(Point2(c1, c2), math.hypot(p1 - c1, p2 - c2))
 
 
 def circle_on_diameter(p: Point2, q: Point2, tol: Tolerance = DEFAULT_TOL) -> Circle2:
     """Circle with segment [p, q] as diameter."""
-    d = (q - p).norm()
-    if d <= tol.eps_degenerate * (1.0 + p.norm() + q.norm()):
+    p1, p2, q1, q2 = p.x1, p.x2, q.x1, q.x2
+    d = math.hypot(q1 - p1, q2 - p2)
+    if d <= tol.eps_degenerate * (1.0 + math.hypot(p1, p2) + math.hypot(q1, q2)):
         raise DegenerateInput(f"diameter endpoints coincide: {p} ~ {q}")
-    return Circle2((p + q) * 0.5, d * 0.5)
+    return Circle2(Point2((p1 + q1) * 0.5, (p2 + q2) * 0.5), d * 0.5)
 
 
 def invert_unit(p: Point2, tol: Tolerance = DEFAULT_TOL) -> Point2:

@@ -6,10 +6,11 @@ lines and semicircles centered on the real axis) and the Poincare unit disk
 circle).  The midpoint oracle is one symmetric closed form per model,
 evaluated without cancellation; it builds no carrier, and shares only the
 domain and distinct-points checks of :func:`pair_kind` with the
-constructions.  :func:`geodesic_of` gives the constructions their carriers:
-disk methods III-VI and half-plane method II take their ideal endpoints from
-it, and ``make_midpoint_result`` measures every result's carrier residual
-against it.
+constructions.  :func:`geodesic_carrier` is the closed-form carrier that
+``make_midpoint_result`` measures every result's carrier residual against.
+:func:`geodesic_of` adds the ordered ideal endpoints, which half-plane method
+II reads; disk methods III-VI order theirs with :func:`arc_ends` on the
+carrier they have recorded.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def in_domain(model: Model, p: Point2) -> bool:
     # chained comparisons are False on nan and exclude both infinities
     if model is Model.HALF_PLANE:
         return 0.0 < p.x2 < math.inf and -math.inf < p.x1 < math.inf
-    return p.norm() < 1.0
+    return math.hypot(p.x1, p.x2) < 1.0
 
 
 def require_in_domain(model: Model, *points: Point2) -> None:
@@ -75,13 +76,14 @@ def pair_kind(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) 
     """
     require_in_domain(model, x, y)
     eps = tol.eps_degenerate
-    nx, ny = x.norm(), y.norm()
+    x1, x2, y1, y2 = x.x1, x.x2, y.x1, y.x2
+    nx, ny = math.hypot(x1, x2), math.hypot(y1, y2)
     scale = 1.0 + nx + ny
-    if (x - y).norm() <= eps * scale:
+    if math.hypot(x1 - y1, x2 - y2) <= eps * scale:
         raise DegenerateInput(f"need two distinct points, got {x} ~ {y}")
     if model is Model.HALF_PLANE:
-        return PairKind.LINE if abs(x.x1 - y.x1) <= eps * scale else PairKind.GENERIC
-    if abs(x.cross(y)) / (1.0 + nx * ny) <= eps:
+        return PairKind.LINE if abs(x1 - y1) <= eps * scale else PairKind.GENERIC
+    if abs(x1 * y2 - x2 * y1) / (1.0 + nx * ny) <= eps:
         return PairKind.LINE
     if abs(nx - ny) <= eps:
         return PairKind.EQUAL_MODULI
@@ -95,14 +97,16 @@ def rho_halfplane(x: Point2, y: Point2) -> float:
     precision for close points where the naive arcosh loses half the digits.
     """
     require_in_domain(Model.HALF_PLANE, x, y)
-    u = (x - y).norm_sq() / (2.0 * x.x2 * y.x2)
+    d1, d2 = x.x1 - y.x1, x.x2 - y.x2
+    u = (d1 * d1 + d2 * d2) / (2.0 * x.x2 * y.x2)
     return math.log1p(u + math.sqrt(u * (u + 2.0)))
 
 
 def rho_disk(x: Point2, y: Point2) -> float:
     """Disk distance via sinh(rho/2) = |x-y| / sqrt((1-|x|^2)(1-|y|^2))."""
     require_in_domain(Model.DISK, x, y)
-    t = (x - y).norm() / math.sqrt((1.0 - x.norm_sq()) * (1.0 - y.norm_sq()))
+    x1, x2, y1, y2 = x.x1, x.x2, y.x1, y.x2
+    t = math.hypot(x1 - y1, x2 - y2) / math.sqrt((1.0 - (x1 * x1 + x2 * x2)) * (1.0 - (y1 * y1 + y2 * y2)))
     return 2.0 * math.asinh(t)
 
 
@@ -127,16 +131,19 @@ def ortho_circle_through(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> 
     r_a = |x-y| |x|y|^2 - y| / (2 |y| |x1 y2 - x2 y1|),
     defined for nonzero x, y with 0, x, y noncollinear.
     """
-    nx, ny = x.norm(), y.norm()
+    x1, x2, y1, y2 = x.x1, x.x2, y.x1, y.x2
+    nx, ny = math.hypot(x1, x2), math.hypot(y1, y2)
     if nx <= tol.eps_degenerate or ny <= tol.eps_degenerate:
         raise CollinearWithOrigin("x and y must be nonzero")
-    det = x.cross(y)
+    det = x1 * y2 - x2 * y1
     if abs(det) <= tol.eps_degenerate * nx * ny:
         raise CollinearWithOrigin(f"0, {x}, {y} are collinear")
-    zx, zy = x.as_complex(), y.as_complex()
-    a = 1j * (zy * (1.0 + x.norm_sq()) - zx * (1.0 + y.norm_sq())) / (2.0 * -det)
-    r_a = (x - y).norm() * abs(zx * y.norm_sq() - zy) / (2.0 * ny * abs(det))
-    return OrthoCircle(Point2.from_complex(a), r_a)
+    zx, zy = complex(x1, x2), complex(y1, y2)
+    ny2 = y1 * y1 + y2 * y2
+    a = 1j * (zy * (1.0 + (x1 * x1 + x2 * x2)) - zx * (1.0 + ny2)) / (2.0 * -det)
+    r_a = math.hypot(x1 - y1, x2 - y2) * abs(zx * ny2 - zy) / (2.0 * ny * abs(det))
+    # tuple.__new__ skips the generated NamedTuple __new__, a Python frame
+    return tuple.__new__(OrthoCircle, (Point2(a.real, a.imag), r_a))
 
 
 class Geodesic(Slotted):
@@ -178,46 +185,64 @@ def unit_circle_crossings(a: Point2) -> tuple[Point2, Point2]:
     form is exact for orthogonal circles and scale-free, where the generic
     circle-circle routine hits the representation floor of huge carriers.
     """
-    aa = a.norm_sq()
-    base = a * (1.0 / aa)
-    h = math.sqrt(max(1.0 - 1.0 / aa, 0.0))
-    perp = a.perp() * (1.0 / a.norm())
-    return base + perp * h, base - perp * h
+    a1, a2 = a.x1, a.x2
+    inv_aa = 1.0 / (a1 * a1 + a2 * a2)
+    b1, b2 = a1 * inv_aa, a2 * inv_aa
+    h = math.sqrt(max(1.0 - inv_aa, 0.0))
+    # the unit perpendicular (-a2, a1) / |a|, scaled by h
+    inv_na = 1.0 / math.hypot(a1, a2)
+    h1, h2 = -a2 * inv_na * h, a1 * inv_na * h
+    return Point2(b1 + h1, b2 + h2), Point2(b1 - h1, b2 - h2)
 
 
-def geodesic_of(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Geodesic:
-    """Carrier and ordered ideal endpoints of the geodesic through x and y."""
+def geodesic_carrier(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Carrier:
+    """Euclidean carrier of the geodesic through x and y, from its closed form."""
     kind = pair_kind(model, x, y, tol)
     if model is Model.HALF_PLANE:
         if kind is PairKind.LINE:
-            carrier = Line2(Point2(1.0, 0.0), x.x1)
-            foot = Point2(x.x1, 0.0)
-            ends = (foot, INFINITY) if x.x2 < y.x2 else (INFINITY, foot)
-            return Geodesic(model, carrier, ends)
-        o1 = (y.norm_sq() - x.norm_sq()) / (2.0 * (y.x1 - x.x1))
-        center = Point2(o1, 0.0)
-        r = (x - center).norm()
-        right, left = Point2(o1 + r, 0.0), Point2(o1 - r, 0.0)
-        phi_x = math.atan2(x.x2, x.x1 - o1)
-        phi_y = math.atan2(y.x2, y.x1 - o1)
-        ends = (right, left) if phi_x < phi_y else (left, right)
-        return Geodesic(model, Circle2(center, r), ends)
-
+            return Line2(Point2(1.0, 0.0), x.x1)
+        x1, x2, y1, y2 = x.x1, x.x2, y.x1, y.x2
+        o1 = ((y1 * y1 + y2 * y2) - (x1 * x1 + x2 * x2)) / (2.0 * (y1 - x1))
+        return Circle2(Point2(o1, 0.0), math.hypot(x1 - o1, x2))
     if kind is PairKind.LINE:
         d = (y - x) * (1.0 / (y - x).norm())
         n = d.perp()
-        carrier = Line2(n, n.dot(x))
-        ends = (-d, d) if x.dot(d) < y.dot(d) else (d, -d)
-        return Geodesic(model, carrier, ends)
-    ortho = ortho_circle_through(x, y, tol)
+        return Line2(n, n.dot(x))
+    return ortho_circle_through(x, y, tol).as_circle()
+
+
+def arc_ends(x: Point2, y: Point2, ortho: OrthoCircle) -> tuple[Point2, Point2]:
+    """Where the disk carrier ``ortho`` through x and y meets S1, as (x_*, y_*).
+
+    The ends are ordered so that x_*, x, y, y_* occur in this order along it.
+    """
     e1, e2 = unit_circle_crossings(ortho.a)
     tx, ty = signed_arc_angle(x, ortho), signed_arc_angle(y, ortho)
     t1 = signed_arc_angle(e1, ortho)
     if tx < ty:
-        ends = (e1, e2) if t1 < 0.0 else (e2, e1)
+        return (e1, e2) if t1 < 0.0 else (e2, e1)
+    return (e1, e2) if t1 > 0.0 else (e2, e1)
+
+
+def geodesic_of(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Geodesic:
+    """Carrier and ordered ideal endpoints of the geodesic through x and y."""
+    carrier = geodesic_carrier(model, x, y, tol)
+    if model is Model.HALF_PLANE:
+        if isinstance(carrier, Line2):
+            foot = Point2(x.x1, 0.0)
+            ends = (foot, INFINITY) if x.x2 < y.x2 else (INFINITY, foot)
+        else:
+            o1, r = carrier.center.x1, carrier.radius
+            right, left = Point2(o1 + r, 0.0), Point2(o1 - r, 0.0)
+            phi_x = math.atan2(x.x2, x.x1 - o1)
+            phi_y = math.atan2(y.x2, y.x1 - o1)
+            ends = (right, left) if phi_x < phi_y else (left, right)
+    elif isinstance(carrier, Line2):
+        d = -carrier.direction()  # the unit vector from x towards y
+        ends = (-d, d) if x.dot(d) < y.dot(d) else (d, -d)
     else:
-        ends = (e1, e2) if t1 > 0.0 else (e2, e1)
-    return Geodesic(model, ortho.as_circle(), ends)
+        ends = arc_ends(x, y, OrthoCircle(carrier.center, carrier.radius))
+    return Geodesic(model, carrier, ends)
 
 
 def rho_via_cross_ratio(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> float:

@@ -77,6 +77,16 @@ def _result(name: str, samples: int, worst: float, threshold: float) -> CheckRes
     return CheckResult(name, samples, worst, threshold, worst <= threshold)
 
 
+def _spread(points: list[Point2]) -> float:
+    """Largest distance between two of the points, each unordered pair measured once.
+
+    |p - q| == |q - p| bit for bit, so this equals the max over ordered pairs.
+    """
+    return max(
+        [math.hypot(p.x1 - q.x1, p.x2 - q.x2) for i, p in enumerate(points) for q in points[i + 1 :]]
+    )
+
+
 # ---------------------------------------------------------------------------
 # samplers
 
@@ -171,8 +181,7 @@ def check_h2_concurrency(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list
                 continue
             candidates.append(res.z)
             worst_rho = max(worst_rho, res.residual_equal_distance)
-        spread = max((p - q).norm() for p in candidates for q in candidates)
-        worst_spread = max(worst_spread, spread)
+        worst_spread = max(worst_spread, _spread(candidates))
     return [
         _result("h2 methods I-IV + angle formula concurrency", cfg.samples, worst_spread, cfg.tolerance),
         _result("h2 midpoint equal-distance", cfg.samples, worst_rho, IDENTITY_TOL),
@@ -215,8 +224,7 @@ def check_b2_concurrency(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list
             worst_rho = max(worst_rho, res.residual_equal_distance)
             aux = next(s.result for s in res.trace.steps if s.produces == "g")
             worst_collinear = max(worst_collinear, abs(z.cross(aux)) / (1.0 + z.norm() * aux.norm()))
-        spread = max((p - q).norm() for p in candidates for q in candidates)
-        worst_spread = max(worst_spread, spread)
+        worst_spread = max(worst_spread, _spread(candidates))
     return [
         _result("b2 methods I-VI + angle formula + oracle concurrency", cfg.samples, worst_spread, cfg.tolerance),
         _result("b2 midpoint equal-distance", cfg.samples, worst_rho, IDENTITY_TOL),

@@ -23,6 +23,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# a negative first coordinate in --x, then in --y; argparse alone reads these as options
+NEGATIVE_FIRST = [("-0.5,0.2", "0.1,0.3"), ("0.5,0.2", "-0.1,-0.3")]
+
+
 def corpus_path(name: str) -> str:
     return str(resources.files("hypmid") / "corpus" / name)
 
@@ -60,6 +64,13 @@ class TestMidpoint:
     def test_bad_point_syntax(self, capsys):
         code, _, err = run(capsys, "midpoint", "--model", "h2", "--x", "zap", "--y", "0,1")
         assert code == 64
+
+    @pytest.mark.parametrize("x, y", NEGATIVE_FIRST, ids=["x", "y"])
+    def test_negative_first_coordinate(self, capsys, x, y):
+        args = ("midpoint", "--model", "b2", "--plain")
+        code, out, err = run(capsys, *args, "--x", x, "--y", y)
+        assert code == 0, err
+        assert run(capsys, *args, f"--x={x}", f"--y={y}") == (0, out, "")
 
     @pytest.mark.parametrize("method", ["V", "angles"])
     def test_method_model_lacks_is_usage_error(self, capsys, method):
@@ -171,6 +182,15 @@ class TestRender:
         assert out1.read_bytes() == out2.read_bytes()
         text = out1.read_text(encoding="utf-8")
         assert "S¹(w,r_w)" in text
+
+    @pytest.mark.parametrize("x, y", NEGATIVE_FIRST, ids=["x", "y"])
+    def test_negative_first_coordinate(self, capsys, tmp_path, x, y):
+        out1, out2 = tmp_path / "a.svg", tmp_path / "b.svg"
+        args = ("render", "--model", "b2", "--method", "II")
+        code, _, err = run(capsys, *args, "--x", x, "--y", y, "--out", str(out1))
+        assert code == 0, err
+        assert run(capsys, *args, f"--x={x}", f"--y={y}", "--out", str(out2))[0] == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
     def test_render_h2_case1_has_aux_circles(self, capsys, tmp_path):
         out = tmp_path / "c.svg"

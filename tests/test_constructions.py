@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -19,7 +20,7 @@ from hypmid.constructions import (
     midpoint,
     scale_sequence,
 )
-from hypmid import script
+from hypmid import hypmetric, script
 from hypmid.constructions import disk, dispatch
 from hypmid.constructions.trace import OPS, replay
 from hypmid.errors import (
@@ -34,6 +35,7 @@ from hypmid.errors import (
 )
 from hypmid.geom2d import ORIGIN, Circle2, Point2, invert_in_circle
 from hypmid.hypmetric import Model, midpoint_oracle, rho_disk, rho_halfplane
+from hypmid.sweeps import SweepConfig, sample_disk_pair, sample_h2_carrier_pair
 
 E30 = Point2(math.cos(math.pi / 6), 0.5)
 TOP = Point2(0.0, 1.0)
@@ -499,3 +501,87 @@ def test_moebius_transport_halfplane_to_disk():
         m_half = midpoint_oracle(Model.HALF_PLANE, hx, hy)
         assert (invert_in_circle(m_disk, to_h2) - m_half).norm() <= 1e-8
         checked += 1
+
+
+# Exact symmetries: each maps its model onto itself by a coordinate swap or a
+# sign flip, which floating point does exactly, and the constructions use
+# each coordinate the same way, so a method's result must map bit for bit.
+def _quarter_turn(p: Point2) -> Point2:
+    return Point2(-p.x2, p.x1)
+
+
+def _conjugate(p: Point2) -> Point2:
+    return Point2(p.x1, -p.x2)
+
+
+def _mirror(p: Point2) -> Point2:  # u -> -conj(u), the reflection in the imaginary axis
+    return Point2(-p.x1, p.x2)
+
+
+def _b2_generic(rng):
+    return sample_disk_pair(rng, SweepConfig())
+
+
+def _b2_diameter(rng):
+    th = rng.uniform(0.0, math.tau)
+    d = Point2(math.cos(th), math.sin(th))
+    t1 = rng.uniform(-0.9, 0.9)
+    return d * t1, d * (t1 + math.copysign(rng.uniform(0.05, 0.8), -t1))
+
+
+def _b2_equal(rng):
+    r, a = rng.uniform(0.1, 0.9), rng.uniform(0.0, math.tau)
+    b = a + rng.uniform(0.1, 2.0)
+    return Point2(r * math.cos(a), r * math.sin(a)), Point2(r * math.cos(b), r * math.sin(b))
+
+
+def _h2_pair(rng):
+    return sample_h2_carrier_pair(rng)[:2]
+
+
+# (symmetry, model, pair sampler, methods); "oracle" is midpoint_oracle.  Not
+# exact, so not listed: "angles" under conjugation and "case1" under the h2
+# mirror, which differ from the mapped result by about 1 ulp on some pairs.
+EXACT_SYMMETRY_CASES = {
+    "quarter-turn-b2": (_quarter_turn, Model.DISK, _b2_generic, ("I", "II", "III", "IV", "V", "VI", "angles", "oracle")),
+    "quarter-turn-b2-diameter": (_quarter_turn, Model.DISK, _b2_diameter, ("case1",)),
+    "quarter-turn-b2-equal": (_quarter_turn, Model.DISK, _b2_equal, ("equal",)),
+    "conjugation-b2": (_conjugate, Model.DISK, _b2_generic, ("I", "II", "III", "IV", "V", "VI", "oracle")),
+    "conjugation-b2-diameter": (_conjugate, Model.DISK, _b2_diameter, ("case1",)),
+    "conjugation-b2-equal": (_conjugate, Model.DISK, _b2_equal, ("equal",)),
+    "mirror-h2": (_mirror, Model.HALF_PLANE, _h2_pair, ("I", "II", "III", "IV", "oracle")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_SYMMETRY_CASES))
+def test_exact_symmetry_equivariance(case):
+    sym, model, draw, methods = EXACT_SYMMETRY_CASES[case]
+    rng = random.Random(f"symmetry/{case}")
+    for _ in range(300):
+        x, y = draw(rng)
+        for method in methods:
+            if method == "oracle":
+                z, z_sym = midpoint_oracle(model, x, y), midpoint_oracle(model, sym(x), sym(y))
+            else:
+                z, z_sym = midpoint(model, x, y, method).z, midpoint(model, sym(x), sym(y), method).z
+            assert z_sym == sym(z), (method, x, y)
+
+
+def test_no_method_builds_ideal_endpoints_it_does_not_read(monkeypatch):
+    # only h2 method II reads the ideal endpoints of geodesic_of
+    original = hypmetric.geodesic_of
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("geodesic_of called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hypmid") and getattr(module, "geodesic_of", None) is original:
+            monkeypatch.setattr(module, "geodesic_of", refuse)
+    x, y = Point2(0.5, 0.1), Point2(0.1, 0.3)
+    for method in ("I", "II", "III", "IV", "V", "VI", "angles"):
+        assert midpoint(Model.DISK, x, y, method).oracle_distance <= 1e-12, method
+    assert midpoint(Model.DISK, Point2(0.5, 0.1), Point2(0.1, 0.5), "equal").oracle_distance <= 1e-12
+    for method in ("I", "III", "IV"):
+        assert midpoint(Model.HALF_PLANE, Point2(1, 1), Point2(2.5, 0.7), method).oracle_distance <= 1e-12, method
+    with pytest.raises(AssertionError, match="geodesic_of called"):
+        midpoint(Model.HALF_PLANE, Point2(1, 1), Point2(2.5, 0.7), "II")

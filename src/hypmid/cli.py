@@ -164,20 +164,22 @@ def cmd_verify(args) -> int:
 
 
 def _load_script(path: str):
+    """Parse a script file; a file that is not UTF-8 raises OSError, like one that cannot be read."""
     from . import script
 
     with open(path, "r", encoding="utf-8") as fh:
-        return script.parse(fh.read())
+        try:
+            source = fh.read()
+        except UnicodeDecodeError as exc:
+            raise OSError(f"{path}: not UTF-8 text ({exc})") from None
+    return script.parse(source)
 
 
-def _parse_bindings(pairs) -> dict[str, Point2]:
-    out = {}
-    for pair in pairs or ():
-        name, _, coords = pair.partition("=")
-        if not _ or not name:
-            raise argparse.ArgumentTypeError(f"expected NAME=x,y, got {pair!r}")
-        out[name] = _point(coords)
-    return out
+def _binding(text: str) -> tuple[str, Point2]:
+    name, eq, coords = text.partition("=")
+    if not eq or not name:
+        raise argparse.ArgumentTypeError(f"expected NAME=x,y, got {text!r}")
+    return name, _point(coords)
 
 
 def cmd_script(args) -> int:
@@ -201,7 +203,7 @@ def cmd_script(args) -> int:
             sys.stdout.write(text)
         return EXIT_OK
     try:
-        result = script.evaluate(program, tol, bind=_parse_bindings(args.bind))
+        result = script.evaluate(program, tol, bind=dict(args.bind or ()))
     except script.ScriptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -237,7 +239,7 @@ def cmd_render(args) -> int:
     except MethodInapplicable as exc:
         print(f"method inapplicable: {exc.reason}: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except (GeometryError, script.ScriptError) as exc:
+    except (GeometryError, script.ScriptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     try:
@@ -273,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("script", help="run or format .hgc construction scripts")
     p.add_argument("action", choices=("run", "fmt"))
     p.add_argument("file")
-    p.add_argument("--bind", action="append", metavar="NAME=x,y", help="override a point literal")
+    p.add_argument("--bind", action="append", type=_binding, metavar="NAME=x,y", help="override a point literal")
     p.add_argument("--write", action="store_true", help="fmt: rewrite the file in place")
     p.set_defaults(func=cmd_script)
 

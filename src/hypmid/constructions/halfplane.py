@@ -8,6 +8,8 @@ in the boundary, which forces its center onto the real axis).
 
 from __future__ import annotations
 
+import math
+
 from ..errors import MethodInapplicable, NotVerticallyAligned
 from ..geom2d import (
     DEFAULT_TOL,
@@ -17,7 +19,7 @@ from ..geom2d import (
     Tolerance,
     nearest_to,
 )
-from ..hypmetric import Model, PairKind, geodesic_of, pair_kind
+from ..hypmetric import Model, PairKind, pair_kind
 from .trace import MidpointResult, TraceBuilder, make_midpoint_result
 
 AXIS = Line2(Point2(0.0, 1.0), 0.0)
@@ -100,8 +102,11 @@ def h2_method_II(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Midpoint
     """Ideal-chord method: z above v = L(x, x_*) n L(y, y_*)."""
     _require_circular(x, y, tol)
     b = _builder("h2-II", x, y, tol)
-    _carrier_circle(b)
-    xstar, ystar = geodesic_of(Model.HALF_PLANE, x, y, tol).ideal_endpoints
+    carrier = _carrier_circle(b)
+    # x_* is the carrier's end on x's side: order x and y by their angles about its center
+    o1, r = carrier.center.x1, carrier.radius
+    right, left = Point2(o1 + r, 0.0), Point2(o1 - r, 0.0)
+    xstar, ystar = (right, left) if math.atan2(x.x2, x.x1 - o1) < math.atan2(y.x2, y.x1 - o1) else (left, right)
     b.step("intersect", "carrier", "axis", name="xs", label="x_*", select=nearest_to(xstar))
     b.step("intersect", "carrier", "axis", name="ys", label="y_*", select=nearest_to(ystar))
     b.step("line", "x", "xs", name="Lx", label="L(x,x_*)")

@@ -8,9 +8,10 @@ evaluated without cancellation; it builds no carrier, and shares only the
 domain and distinct-points checks of :func:`pair_kind` with the
 constructions.  :func:`geodesic_carrier` is the closed-form carrier that
 ``make_midpoint_result`` measures every result's carrier residual against.
-:func:`geodesic_of` adds the ordered ideal endpoints, which half-plane method
-II reads; disk methods III-VI order theirs with :func:`arc_ends` on the
-carrier they have recorded.
+:func:`geodesic_of` adds the ordered ideal endpoints, which the ``.hgc``
+``geodesic`` op and :func:`rho_via_cross_ratio` read; the constructions order
+theirs on the carrier they have recorded (disk methods III-VI with
+:func:`arc_ends`).
 """
 
 from __future__ import annotations

@@ -192,241 +192,207 @@ class Program(Slotted):
 
 
 _SELECTOR_KEYWORDS = ("upper", "in_disk", "boundary", "nearest")
+_BINDING_KEYWORDS = ("point", "line", "circle", "geodesic")
+_STATEMENT_STARTS = (*_BINDING_KEYWORDS, "assert", "output", "name")
+_MODEL_TAGS = ("h2", "b2")
 
+# One alternative per token kind, so one scan yields (kind, text, column) per
+# token; "bad" takes any other non-space character, and whitespace between
+# tokens is skipped by the search.  Names and numbers are ASCII, as in
+# docs/hgc_grammar.ebnf.
 _TOKEN_RE = re.compile(
-    r"""\s*(?:(?P<number>[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)
-        |(?P<name>[A-Za-z_][A-Za-z0-9_]*)
-        |(?P<punct>[(),=])
-        )""",
+    r"""(?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    |(?P<punct>[(),=])
+    |(?P<number>[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)
+    |(?P<bad>\S)""",
     re.VERBOSE,
 )
 
 
-class _Token(NamedTuple):
-    kind: str  # number | name | punct | end
-    text: str
-    column: int
-
-
-def _tokenize(line_text: str, lineno: int) -> tuple[list[_Token], str | None]:
-    """Tokens of one line plus its comment text (without '#'), if any."""
-    hash_pos = line_text.find("#")
-    comment = None
-    if hash_pos >= 0:
-        comment = line_text[hash_pos + 1 :].rstrip("\n")
-        line_text = line_text[:hash_pos]
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(line_text):
-        if line_text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(line_text, pos)
-        if not m or m.end() == pos:
-            raise ScriptSyntaxError(lineno, pos + 1, "unexpected character", found=line_text[pos])
-        kind = m.lastgroup
-        tokens.append(_Token(kind, m.group(kind), m.start(kind) + 1))
-        pos = m.end()
-    return tokens, comment
-
-
-class _LineParser:
-    def __init__(self, tokens: list[_Token], lineno: int, line_len: int):
-        self.tokens = tokens
-        self.lineno = lineno
-        self.pos = 0
-        self.line_len = line_len
-
-    def peek(self) -> _Token:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return _Token("end", "", self.line_len + 1)
-
-    def next(self) -> _Token:
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str, expected: tuple = ()):
-        tok = self.peek()
-        raise ScriptSyntaxError(self.lineno, tok.column, message, found=tok.text or "end of line", expected=expected)
-
-    def expect_punct(self, ch: str) -> None:
-        tok = self.next()
-        if tok.kind != "punct" or tok.text != ch:
-            self.pos -= 1
-            self.fail(f"expected {ch!r}", expected=(ch,))
-
-    def expect_name(self, what: str = "name") -> str:
-        tok = self.next()
-        if tok.kind != "name":
-            self.pos -= 1
-            self.fail(f"expected {what}", expected=(what,))
-        return tok.text
-
-    def expect_number(self) -> float:
-        tok = self.next()
-        if tok.kind != "number":
-            self.pos -= 1
-            self.fail("expected number", expected=("number",))
-        return float(tok.text)
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-
-def _parse_point_literal(p: _LineParser) -> PointLit:
-    p.expect_punct("(")
-    x = p.expect_number()
-    p.expect_punct(",")
-    y = p.expect_number()
-    p.expect_punct(")")
-    return PointLit(x, y)
-
-
-def _parse_arg(p: _LineParser, kind: str = "point"):
-    tok = p.peek()
-    if tok.kind == "punct" and tok.text == "(":
-        return _parse_point_literal(p)
-    if tok.kind == "number":
-        if kind != "radius":
-            p.fail("a bare number is only valid as a circle radius")
-        p.next()
-        return float(tok.text)
-    if tok.kind == "name":
-        nxt = p.tokens[p.pos + 1] if p.pos + 1 < len(p.tokens) else None
-        if tok.text in OPS and nxt is not None and nxt.kind == "punct" and nxt.text == "(":
-            op = OPS[tok.text]
-            if "selector" in op.kinds:
-                p.fail(f"{tok.text}(...) select ... cannot be nested; bind it to a name first")
-            if op.result == "residual":
-                p.fail(f"{tok.text}(...) is an assertion; it cannot be an argument")
-            return _parse_call(p)
-        p.next()
-        return Ref(tok.text)
-    p.fail("expected an argument", expected=("name", "number", "(", ")"))
-
-
-def _parse_call(p: _LineParser) -> Call:
-    """A call with its arguments as the table orders them; a selector comes after ')'."""
-    fn = p.expect_name("function name")
-    if fn not in OPS:
-        p.pos -= 1
-        p.fail(f"unknown function {fn!r}", expected=tuple(sorted(OPS)))
-    p.expect_punct("(")
-    args: list = []
-    for kind in OPS[fn].kinds:
-        if kind == "selector":
-            p.expect_punct(")")
-            kw = p.expect_name("'select'")
-            if kw != "select":
-                p.pos -= 1
-                p.fail("every intersection needs a selector", expected=("select",))
-            args.append(_parse_selector(p))
-            return Call(fn, tuple(args))
-        if args:
-            p.expect_punct(",")
-        if kind == "model":
-            model = p.expect_name("model tag (h2 or b2)")
-            if model not in ("h2", "b2"):
-                p.pos -= 1
-                p.fail("expected model tag", expected=("h2", "b2"))
-            args.append(model)
-        else:
-            args.append(_parse_arg(p, kind))
-    p.expect_punct(")")
-    return Call(fn, tuple(args))
-
-
-def _parse_selector(p: _LineParser) -> SelectorNode:
-    kw = p.expect_name("selector keyword")
-    if kw not in _SELECTOR_KEYWORDS:
-        p.pos -= 1
-        p.fail("expected selector keyword", expected=_SELECTOR_KEYWORDS)
-    if kw == "nearest":
-        return SelectorNode("nearest", _parse_arg(p))
-    return SelectorNode(kw)
-
-
 class Parser:
+    """Recursive descent over one line's tokens at a time, read by index.
+
+    A token is a plain ``(kind, text, column)`` tuple, and each line ends in
+    an ``("end", "", len(line) + 1)`` sentinel, so reading one token past the
+    current one never leaves the list.  Each ``_parse_*`` method takes the
+    index of its first token and returns its node and the index after it.
+    The names a line reads are collected in ``_refs`` as they are parsed and
+    checked once the whole line has parsed, so a syntax error wins over an
+    unknown name, and the first unknown name in source order is reported.
+    """
+
     def __init__(self):
         self.names: set[str] = set(BUILTINS)
+        self._toks: list[tuple[str, str, int]] = []
+        self._lineno = 0
+        self._refs: list[str] = []
 
-    def _check_refs(self, node, lineno: int):
-        if isinstance(node, Ref) and node.name not in self.names:
-            raise UnknownNameError(node.name, lineno)
-        if isinstance(node, Call):
-            for a in node.args:
-                self._check_refs(a, lineno)
-        if isinstance(node, SelectorNode) and node.anchor is not None:
-            self._check_refs(node.anchor, lineno)
+    def _fail(self, i: int, message: str, expected: tuple = ()):
+        """Raise a syntax error at token ``i``.
 
-    def _bind(self, name: str, lineno: int) -> None:
+        No rule accepts a "bad" token, so every line holding one ends here, and
+        its first unexpected character is reported in place of ``message``.
+        """
+        for kind, text, column in self._toks:
+            if kind == "bad":
+                raise ScriptSyntaxError(self._lineno, column, "unexpected character", found=text)
+        _, text, column = self._toks[i]
+        raise ScriptSyntaxError(self._lineno, column, message, found=text or "end of line", expected=expected)
+
+    def _expect(self, i: int, ch: str) -> int:
+        if self._toks[i][1] != ch:
+            self._fail(i, f"expected {ch!r}", expected=(ch,))
+        return i + 1
+
+    def _parse_number(self, i: int) -> tuple[float, int]:
+        kind, text, _ = self._toks[i]
+        if kind != "number":
+            self._fail(i, "expected number", expected=("number",))
+        value = float(text)
+        if math.isinf(value):  # the formatter could not write it back as a number
+            self._fail(i, "number overflows to infinity")
+        return value, i + 1
+
+    def _parse_point_literal(self, i: int) -> tuple[PointLit, int]:
+        i = self._expect(i, "(")
+        x, i = self._parse_number(i)
+        i = self._expect(i, ",")
+        y, i = self._parse_number(i)
+        return PointLit(x, y), self._expect(i, ")")
+
+    def _parse_arg(self, i: int, kind: str = "point"):
+        toks = self._toks
+        tok_kind, text, _ = toks[i]
+        if tok_kind == "name":
+            if text in OPS and toks[i + 1][1] == "(":
+                op = OPS[text]
+                if "selector" in op.kinds:
+                    self._fail(i, f"{text}(...) select ... cannot be nested; bind it to a name first")
+                if op.result == "residual":
+                    self._fail(i, f"{text}(...) is an assertion; it cannot be an argument")
+                return self._parse_call(i)
+            self._refs.append(text)
+            return Ref(text), i + 1
+        if text == "(":
+            return self._parse_point_literal(i)
+        if tok_kind == "number":
+            if kind != "radius":
+                self._fail(i, "a bare number is only valid as a circle radius")
+            return self._parse_number(i)
+        self._fail(i, "expected an argument", expected=("name", "number", "(", ")"))
+
+    def _parse_call(self, i: int) -> tuple[Call, int]:
+        """A call with its arguments as the table orders them; a selector comes after ')'."""
+        toks = self._toks
+        tok_kind, fn, _ = toks[i]
+        op = OPS.get(fn)
+        if op is None:
+            if tok_kind != "name":
+                self._fail(i, "expected function name", expected=("function name",))
+            self._fail(i, f"unknown function {fn!r}", expected=tuple(sorted(OPS)))
+        i = self._expect(i + 1, "(")
+        args: list = []
+        for kind in op.kinds:
+            if kind == "selector":
+                i = self._expect(i, ")")
+                tok_kind, keyword, _ = toks[i]
+                if keyword != "select":
+                    if tok_kind != "name":
+                        self._fail(i, "expected 'select'", expected=("'select'",))
+                    self._fail(i, "every intersection needs a selector", expected=("select",))
+                selector, i = self._parse_selector(i + 1)
+                args.append(selector)
+                return Call(fn, tuple(args)), i
+            if args:
+                i = self._expect(i, ",")
+            if kind == "model":
+                tok_kind, model, _ = toks[i]
+                if model not in _MODEL_TAGS:
+                    if tok_kind != "name":
+                        self._fail(i, "expected model tag (h2 or b2)", expected=("model tag (h2 or b2)",))
+                    self._fail(i, "expected model tag", expected=_MODEL_TAGS)
+                args.append(model)
+                i += 1
+            else:
+                arg, i = self._parse_arg(i, kind)
+                args.append(arg)
+        return Call(fn, tuple(args)), self._expect(i, ")")
+
+    def _parse_selector(self, i: int) -> tuple[SelectorNode, int]:
+        tok_kind, keyword, _ = self._toks[i]
+        if keyword not in _SELECTOR_KEYWORDS:
+            if tok_kind != "name":
+                self._fail(i, "expected selector keyword", expected=("selector keyword",))
+            self._fail(i, "expected selector keyword", expected=_SELECTOR_KEYWORDS)
+        if keyword == "nearest":
+            anchor, i = self._parse_arg(i + 1)
+            return SelectorNode("nearest", anchor), i
+        return SelectorNode(keyword), i + 1
+
+    def _finish(self, i: int) -> None:
+        """Fail on trailing tokens, then on the first name the line reads that is not bound."""
+        if self._toks[i][0] != "end":
+            self._fail(i, "unexpected trailing input")
+        names = self.names
+        for name in self._refs:
+            if name not in names:
+                raise UnknownNameError(name, self._lineno)
+
+    def parse_line(self, raw: str, lineno: int):
+        hash_pos = raw.find("#")
+        comment = None
+        code = raw
+        if hash_pos >= 0:
+            comment = raw[hash_pos + 1 :]
+            code = raw[:hash_pos]
+        toks = [((kind := m.lastgroup), m[kind], m.start() + 1) for m in _TOKEN_RE.finditer(code)]
+        if not toks:
+            return Blank(line=lineno) if comment is None else Comment(comment, line=lineno)
+        toks.append(("end", "", len(raw) + 1))
+        self._toks = toks
+        self._lineno = lineno
+        self._refs = []
+        kind, head, _ = toks[0]
+        if kind != "name":
+            self._fail(0, "expected a statement", expected=_STATEMENT_STARTS)
+
+        if head == "assert":
+            check, i = self._parse_call(1)
+            if OPS[check.fn].result != "residual":
+                self._fail(i, f"{check.fn!r} is not an assertion kind", expected=_fns_giving("residual"))
+            tolerance = None
+            if toks[i][1] == "tol":
+                tolerance, i = self._parse_number(i + 1)
+            self._finish(i)
+            return Assertion(check, tolerance, comment, line=lineno)
+
+        if head == "output":
+            kind, name, _ = toks[1]
+            if kind != "name":
+                self._fail(1, "expected name", expected=("name",))
+            self._refs.append(name)
+            self._finish(2)
+            return Output(name, comment, line=lineno)
+
+        # a keyword binding, or a bare NAME = point-producing operation
+        keyword = head if head in _BINDING_KEYWORDS else None
+        i = 0 if keyword is None else 1
+        kind, name, _ = toks[i]
+        if kind != "name":
+            self._fail(i, "expected name", expected=("name",))
+        i = self._expect(i + 1, "=")
+        if keyword == "point":
+            expr, i = self._parse_point_literal(i)
+        else:
+            expr, i = self._parse_call(i)
+            result = keyword or "point"
+            if OPS[expr.fn].result != result:
+                self._fail(i, f"a {keyword or 'bare'} binding needs one of {_fns_giving(result)}")
+        self._finish(i)
         if name in self.names:
             raise DuplicateNameError(lineno, name)
         self.names.add(name)
-
-    def parse_line(self, raw: str, lineno: int):
-        tokens, comment = _tokenize(raw, lineno)
-        if not tokens:
-            if comment is not None:
-                return Comment(comment, line=lineno)
-            return Blank(line=lineno)
-        p = _LineParser(tokens, lineno, len(raw))
-        head = p.peek()
-        if head.kind != "name":
-            p.fail("expected a statement", expected=("point", "line", "circle", "geodesic", "assert", "output", "name"))
-
-        if head.text == "assert":
-            p.next()
-            check = _parse_call(p)
-            if OPS[check.fn].result != "residual":
-                p.fail(f"{check.fn!r} is not an assertion kind", expected=_fns_giving("residual"))
-            tolerance = None
-            if not p.at_end() and p.peek().kind == "name" and p.peek().text == "tol":
-                p.next()
-                tolerance = p.expect_number()
-            self._finish(p)
-            self._check_refs(check, lineno)
-            return Assertion(check, tolerance, comment, line=lineno)
-
-        if head.text == "output":
-            p.next()
-            name = p.expect_name()
-            self._finish(p)
-            if name not in self.names:
-                raise UnknownNameError(name, lineno)
-            return Output(name, comment, line=lineno)
-
-        if head.text in ("point", "line", "circle", "geodesic"):
-            keyword = p.next().text
-            name = p.expect_name()
-            p.expect_punct("=")
-            if keyword == "point":
-                expr = _parse_point_literal(p)
-            else:
-                expr = _parse_call(p)
-                if OPS[expr.fn].result != keyword:
-                    p.fail(f"a {keyword} binding needs one of {_fns_giving(keyword)}")
-            self._finish(p)
-            self._check_refs(expr, lineno)
-            self._bind(name, lineno)
-            return Binding(keyword, name, expr, comment, line=lineno)
-
-        # bare NAME = point-producing operation
-        name = p.expect_name()
-        p.expect_punct("=")
-        expr = _parse_call(p)
-        if OPS[expr.fn].result != "point":
-            p.fail(f"a bare binding needs one of {_fns_giving('point')}")
-        self._finish(p)
-        self._check_refs(expr, lineno)
-        self._bind(name, lineno)
-        return Binding(None, name, expr, comment, line=lineno)
-
-    def _finish(self, p: _LineParser) -> None:
-        if not p.at_end():
-            p.fail("unexpected trailing input")
+        return Binding(keyword, name, expr, comment, line=lineno)
 
 
 def _fns_giving(result: str) -> tuple[str, ...]:
@@ -435,11 +401,8 @@ def _fns_giving(result: str) -> tuple[str, ...]:
 
 def parse(source: str) -> Program:
     """Parse .hgc text; errors carry line, column, offending token and expectations."""
-    parser = Parser()
-    items = []
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        items.append(parser.parse_line(raw, lineno))
-    return Program(tuple(items))
+    parse_line = Parser().parse_line
+    return Program(tuple([parse_line(raw, lineno) for lineno, raw in enumerate(source.splitlines(), start=1)]))
 
 
 # ---------------------------------------------------------------------------

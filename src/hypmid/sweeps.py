@@ -77,14 +77,21 @@ def _result(name: str, samples: int, worst: float, threshold: float) -> CheckRes
     return CheckResult(name, samples, worst, threshold, worst <= threshold)
 
 
+def _worse(worst: float, residual: float) -> float:
+    """``max(worst, residual)``, except that a NaN on either side is kept, so the check FAILs.
+
+    The builtin ``max`` drops a NaN that is not its first argument.
+    """
+    return worst if residual <= worst or worst != worst else residual
+
+
 def _spread(points: list[Point2]) -> float:
-    """Largest distance between two of the points, each unordered pair measured once.
+    """Largest distance between two of the points, each unordered pair measured once; NaN if any is NaN.
 
     |p - q| == |q - p| bit for bit, so this equals the max over ordered pairs.
     """
-    return max(
-        [math.hypot(p.x1 - q.x1, p.x2 - q.x2) for i, p in enumerate(points) for q in points[i + 1 :]]
-    )
+    distances = [math.hypot(p.x1 - q.x1, p.x2 - q.x2) for i, p in enumerate(points) for q in points[i + 1 :]]
+    return math.nan if any(map(math.isnan, distances)) else max(distances)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +164,7 @@ def check_metric_agreement(model: Model, cfg: SweepConfig, tol: Tolerance = DEFA
                 continue
             closed = rho_disk(x, y)
         via = rho_via_cross_ratio(model, x, y, tol)
-        worst = max(worst, abs(via - closed) / closed)
+        worst = _worse(worst, abs(via - closed) / closed)
     return _result(f"metric agreement ({model.value})", cfg.samples, worst, IDENTITY_TOL)
 
 
@@ -180,8 +187,8 @@ def check_h2_concurrency(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list
             except MethodInapplicable:
                 continue
             candidates.append(res.z)
-            worst_rho = max(worst_rho, res.residual_equal_distance)
-        worst_spread = max(worst_spread, _spread(candidates))
+            worst_rho = _worse(worst_rho, res.residual_equal_distance)
+        worst_spread = _worse(worst_spread, _spread(candidates))
     return [
         _result("h2 methods I-IV + angle formula concurrency", cfg.samples, worst_spread, cfg.tolerance),
         _result("h2 midpoint equal-distance", cfg.samples, worst_rho, IDENTITY_TOL),
@@ -198,7 +205,7 @@ def check_h2_identities(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list[
         yu = (y - o) * (1.0 / r)
         report = lemma31_report(xu, yu, tol)
         for key, claim in report.claims.items():
-            worst[key] = max(worst.get(key, 0.0), abs(claim.residual))
+            worst[key] = _worse(worst.get(key, 0.0), abs(claim.residual))
     return [
         _result(f"lemma 3.1/prop 3.2: {key}", cfg.samples, value, IDENTITY_TOL)
         for key, value in sorted(worst.items())
@@ -216,15 +223,15 @@ def check_b2_concurrency(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list
         candidates = [midpoint_oracle(Model.DISK, x, y, tol), midpoint_disk_angles(x, y, tol)]
         res = b2_method_I(x, y, tol)
         candidates.append(res.z)
-        worst_rho = max(worst_rho, res.residual_equal_distance)
+        worst_rho = _worse(worst_rho, res.residual_equal_distance)
         z = res.z
         for which in ("II", "III", "IV", "V", "VI"):
             res = b2_methods_II_to_VI(x, y, which, tol)
             candidates.append(res.z)
-            worst_rho = max(worst_rho, res.residual_equal_distance)
+            worst_rho = _worse(worst_rho, res.residual_equal_distance)
             aux = next(s.result for s in res.trace.steps if s.produces == "g")
-            worst_collinear = max(worst_collinear, abs(z.cross(aux)) / (1.0 + z.norm() * aux.norm()))
-        worst_spread = max(worst_spread, _spread(candidates))
+            worst_collinear = _worse(worst_collinear, abs(z.cross(aux)) / (1.0 + z.norm() * aux.norm()))
+        worst_spread = _worse(worst_spread, _spread(candidates))
     return [
         _result("b2 methods I-VI + angle formula + oracle concurrency", cfg.samples, worst_spread, cfg.tolerance),
         _result("b2 midpoint equal-distance", cfg.samples, worst_rho, IDENTITY_TOL),
@@ -240,7 +247,7 @@ def check_b2_identities(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list[
         x, y = sample_disk_pair(rng, cfg)
         report = lemma46_report(x, y, tol)
         for key, claim in report.claims.items():
-            worst[key] = max(worst.get(key, 0.0), abs(claim.residual))
+            worst[key] = _worse(worst.get(key, 0.0), abs(claim.residual))
     return [
         _result(f"lemma 4.6/remark 4.9: {key}", cfg.samples, value, IDENTITY_TOL)
         for key, value in sorted(worst.items())
@@ -256,12 +263,12 @@ def check_projection(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list[Che
         x, y = sample_unit_circle_pair(rng)
         lhs = 2.0 * rho_halfplane(x, y)
         rhs = rho_disk(projection_pr(x, tol), projection_pr(y, tol))
-        worst = max(worst, abs(lhs - rhs))
+        worst = _worse(worst, abs(lhs - rhs))
     # closed-form instance: x, y at angles pi/3, 2pi/3 project to (+-1/2, 0)
     x = Point2(math.cos(math.pi / 3.0), math.sin(math.pi / 3.0))
     y = Point2(math.cos(2.0 * math.pi / 3.0), math.sin(2.0 * math.pi / 3.0))
     closed = abs(2.0 * rho_halfplane(x, y) - 2.0 * math.log(3.0))
-    closed = max(closed, abs(rho_disk(Point2(0.5, 0.0), Point2(-0.5, 0.0)) - 2.0 * math.log(3.0)))
+    closed = _worse(closed, abs(rho_disk(Point2(0.5, 0.0), Point2(-0.5, 0.0)) - 2.0 * math.log(3.0)))
     return [
         _result("projection property (random pairs)", n, worst, IDENTITY_TOL),
         _result("projection property (closed form 2 log 3)", 1, closed, 1e-12),
@@ -281,8 +288,8 @@ def check_scale_chain(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list[Ch
         chain = scale_sequence(x1, 10, tol)
         c = chain.c
         for k, p in enumerate(chain.points, start=1):
-            worst_rho = max(worst_rho, abs(rho_disk(ORIGIN, p) - k * c))
-            worst_tanh = max(worst_tanh, abs(p.norm() - math.tanh(k * math.atanh(r))))
+            worst_rho = _worse(worst_rho, abs(rho_disk(ORIGIN, p) - k * c))
+            worst_tanh = _worse(worst_tanh, abs(p.norm() - math.tanh(k * math.atanh(r))))
     return [
         _result("chain rho(0, X_k) = k c (k <= 10)", n, worst_rho, IDENTITY_TOL),
         _result("chain |X_k| = tanh(k artanh |X_1|)", n, worst_tanh, IDENTITY_TOL),
@@ -342,10 +349,9 @@ def check_prop47(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL, semicircle_case
     for _ in range(cfg.samples):
         x, y = sample_disk_pair(rng, cfg)
         report = prop47_report(x, y, tol)
-        worst_col = max(worst_col, abs(report.claims["0,b,d collinear"].residual))
-        worst_col = max(worst_col, abs(report.claims["0,b',d' collinear"].residual))
+        worst_col = _worse(worst_col, abs(report.claims["0,b,d collinear"].residual))
+        worst_col = _worse(worst_col, abs(report.claims["0,b',d' collinear"].residual))
     worst_ratio = 0.0
-    worst_cond = 0.0
     found = 0
     while found < semicircle_cases:
         r1 = rng.uniform(0.15, 0.7)
@@ -363,12 +369,11 @@ def check_prop47(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL, semicircle_case
             continue
         claim = report.claims["|z,x,x^*,z'|=|z,y,y^*,z'|"]
         if claim.residual is None:
-            worst_cond = max(worst_cond, 1.0)
             continue
         found += 1
-        worst_ratio = max(worst_ratio, abs(claim.residual))
-        worst_ratio = max(worst_ratio, abs(report.claims["z equal rho"].residual))
-        worst_ratio = max(worst_ratio, abs(report.claims["S1(c,r_c) orth S1(a,r_a)"].residual))
+        worst_ratio = _worse(worst_ratio, abs(claim.residual))
+        worst_ratio = _worse(worst_ratio, abs(report.claims["z equal rho"].residual))
+        worst_ratio = _worse(worst_ratio, abs(report.claims["S1(c,r_c) orth S1(a,r_a)"].residual))
     return [
         _result("prop 4.7 collinearity of 0,b,d and 0,b',d'", cfg.samples, worst_col, IDENTITY_TOL),
         _result("prop 4.7 semicircle case (midpoint/orthogonality/ratio)", semicircle_cases, worst_ratio, RATIO_TOL),
@@ -397,7 +402,7 @@ def check_case1_constructions(
         if run_h2:
             x, y = Point2(x1, h1), Point2(x1, h2)
             res = h2_case1(x, y, tol)
-            worst_h2 = max(worst_h2, (res.z - midpoint_oracle(Model.HALF_PLANE, x, y, tol)).norm())
+            worst_h2 = _worse(worst_h2, (res.z - midpoint_oracle(Model.HALF_PLANE, x, y, tol)).norm())
 
         th = rng.uniform(0.0, math.tau)
         d = Point2(math.cos(th), math.sin(th))
@@ -407,7 +412,7 @@ def check_case1_constructions(
         if run_b2:
             x, y = d * t1, d * t2
             res = b2_case1(x, y, tol)
-            worst_b2 = max(worst_b2, (res.z - midpoint_oracle(Model.DISK, x, y, tol)).norm())
+            worst_b2 = _worse(worst_b2, (res.z - midpoint_oracle(Model.DISK, x, y, tol)).norm())
 
         r = rng.uniform(0.1, cfg.max_modulus)
         a1 = rng.uniform(0.0, math.tau)
@@ -415,7 +420,7 @@ def check_case1_constructions(
         x, y = Point2(r * math.cos(a1), r * math.sin(a1)), Point2(r * math.cos(a2), r * math.sin(a2))
         if run_b2 and abs(x.cross(y)) / (x.norm() * y.norm()) >= cfg.min_margin:
             res = b2_equal_moduli(x, y, tol)
-            worst_eq = max(worst_eq, (res.z - midpoint_oracle(Model.DISK, x, y, tol)).norm())
+            worst_eq = _worse(worst_eq, (res.z - midpoint_oracle(Model.DISK, x, y, tol)).norm())
     results = []
     if run_h2:
         results.append(_result("h2 vertical case vs oracle", n, worst_h2, cfg.tolerance))

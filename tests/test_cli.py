@@ -172,6 +172,19 @@ class TestScript:
         assert code == 1
         assert "line 1" in err
 
+    def test_file_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.hgc"
+        bad.write_bytes("point é = (0.5, 0.0)\n".encode("latin-1"))
+        code, _, err = run(capsys, "script", "run", str(bad))
+        assert code == 1
+        assert err.startswith("error: ") and "not UTF-8" in err
+
+    @pytest.mark.parametrize("bind", ["x=0.5", "novalue"])
+    def test_malformed_bind_is_usage_error(self, capsys, bind):
+        code, _, err = run(capsys, "script", "run", corpus_path("h2_case1.hgc"), "--bind", bind)
+        assert code == 64
+        assert "argument --bind" in err
+
 
 class TestRender:
     def test_render_method_deterministic(self, capsys, tmp_path):
@@ -203,6 +216,13 @@ class TestRender:
         code, _, _ = run(capsys, "render", "--script", corpus_path("b2_case1.hgc"), "--out", str(out))
         assert code == 0
         assert out.exists()
+
+    def test_missing_script_file(self, capsys, tmp_path):
+        out = tmp_path / "x.svg"
+        code, _, err = run(capsys, "render", "--script", str(tmp_path / "missing.hgc"), "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: ") and "missing.hgc" in err
+        assert not out.exists()
 
     def test_zero_canvas_usage_error(self, capsys, tmp_path):
         code, _, err = run(

@@ -568,7 +568,6 @@ def test_exact_symmetry_equivariance(case):
 
 
 def test_no_method_builds_ideal_endpoints_it_does_not_read(monkeypatch):
-    # only h2 method II reads the ideal endpoints of geodesic_of
     original = hypmetric.geodesic_of
 
     def refuse(*args, **kwargs):
@@ -581,7 +580,5 @@ def test_no_method_builds_ideal_endpoints_it_does_not_read(monkeypatch):
     for method in ("I", "II", "III", "IV", "V", "VI", "angles"):
         assert midpoint(Model.DISK, x, y, method).oracle_distance <= 1e-12, method
     assert midpoint(Model.DISK, Point2(0.5, 0.1), Point2(0.1, 0.5), "equal").oracle_distance <= 1e-12
-    for method in ("I", "III", "IV"):
+    for method in ("I", "II", "III", "IV"):
         assert midpoint(Model.HALF_PLANE, Point2(1, 1), Point2(2.5, 0.7), method).oracle_distance <= 1e-12, method
-    with pytest.raises(AssertionError, match="geodesic_of called"):
-        midpoint(Model.HALF_PLANE, Point2(1, 1), Point2(2.5, 0.7), "II")

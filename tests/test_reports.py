@@ -14,6 +14,7 @@ from hypmid.constructions.reports import (
     semicircle_residual,
 )
 from hypmid.errors import CollinearWithOrigin, DegenerateInput, EqualModuli, NotOnUnitCircle
+from hypmid import sweeps
 from hypmid.geom2d import Point2
 from hypmid.sweeps import SweepConfig, find_semicircle_partner
 
@@ -156,3 +157,19 @@ def test_semicircle_partner_respects_modulus():
     assert y.norm() == pytest.approx(0.6, abs=1e-12)
     cfg = SweepConfig()
     assert abs(x.norm() - y.norm()) > cfg.min_gap
+
+
+@pytest.mark.parametrize("method, check", [("b2_method_I", "check_b2_concurrency"), ("h2_method_II", "check_h2_concurrency")])
+def test_nan_midpoint_fails_concurrency_checks(monkeypatch, method, check):
+    # one method's z = (nan, nan) comes after finite candidates, where the builtin max would drop it
+    original = getattr(sweeps, method)
+
+    def nan_result(*args):
+        return original(*args)._replace(z=Point2(math.nan, math.nan), residual_equal_distance=math.nan)
+
+    monkeypatch.setattr(sweeps, method, nan_result)
+    results = getattr(sweeps, check)(SweepConfig(samples=5, seed=1))
+    assert len(results) == (3 if check == "check_b2_concurrency" else 2)
+    for r in results:
+        assert not r.passed and math.isnan(r.max_residual), r.line()
+        assert r.line().startswith("FAIL ")

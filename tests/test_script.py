@@ -1,6 +1,7 @@
 """Construction-language contracts: parsing, formatting, evaluation, corpus."""
 
 import pathlib
+import random
 from importlib import resources
 
 import pytest
@@ -242,26 +243,148 @@ class TestCorpus:
         assert expected <= names
 
 
+def diagnosis(source: str) -> tuple:
+    """What parsing ``source`` reports: (type, line, column, found, expected), or (type, line, name)."""
+    with pytest.raises(script.ScriptError) as err:
+        script.parse(source)
+    e = err.value
+    if isinstance(e, script.ScriptSyntaxError):
+        return (type(e), e.line, e.column, e.found, e.expected)
+    return (type(e), e.line, e.name)
+
+
+SYNTAX = script.ScriptSyntaxError
+ALL_FNS = tuple(sorted(OPS))
+ARGUMENT = ("name", "number", "(", ")")
+SELECTORS = ("upper", "in_disk", "boundary", "nearest")
+STATEMENTS = ("point", "line", "circle", "geodesic", "assert", "output", "name")
+
+# each fixture's whole diagnosis: (type, line, column, found, expected), or (type, line, name)
 BROKEN_EXPECTATIONS = {
-    "01_unterminated_literal.hgc": (script.ScriptSyntaxError, 1),
-    "02_duplicate_name.hgc": (script.DuplicateNameError, 2),
-    "03_unknown_name.hgc": (script.UnknownNameError, 2),
-    "04_missing_select.hgc": (script.ScriptSyntaxError, 3),
-    "05_bad_selector.hgc": (script.ScriptSyntaxError, 3),
-    "06_wrong_arity.hgc": (script.ScriptSyntaxError, 3),
-    "07_unknown_function.hgc": (script.ScriptSyntaxError, 2),
-    "08_trailing_garbage.hgc": (script.ScriptSyntaxError, 2),
-    "09_kind_mismatch.hgc": (script.ScriptSyntaxError, 3),
-    "10_nested_intersect.hgc": (script.ScriptSyntaxError, 3),
+    "01_unterminated_literal.hgc": (SYNTAX, 1, 16, "end of line", ("number",)),
+    "02_duplicate_name.hgc": (script.DuplicateNameError, 2, "x"),
+    "03_unknown_name.hgc": (script.UnknownNameError, 2, "ghost"),
+    "04_missing_select.hgc": (SYNTAX, 3, 32, "end of line", ("'select'",)),
+    "05_bad_selector.hgc": (SYNTAX, 3, 40, "sideways", SELECTORS),
+    "06_wrong_arity.hgc": (SYNTAX, 3, 31, ")", (",",)),
+    "07_unknown_function.hgc": (SYNTAX, 2, 5, "teleport", ALL_FNS),
+    "08_trailing_garbage.hgc": (SYNTAX, 2, 10, "junk", ()),
+    "09_kind_mismatch.hgc": (SYNTAX, 3, 24, "end of line", ()),
+    "10_nested_intersect.hgc": (SYNTAX, 3, 15, "intersect", ()),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BROKEN_EXPECTATIONS), ids=str)
 def test_broken_fixture_positions(name):
-    expected_type, expected_line = BROKEN_EXPECTATIONS[name]
     source = (BROKEN_DIR / name).read_text(encoding="utf-8")
-    with pytest.raises(expected_type) as err:
-        script.parse(source)
-    assert err.value.line == expected_line
-    if isinstance(err.value, script.ScriptSyntaxError):
-        assert err.value.column >= 1
+    assert diagnosis(source) == BROKEN_EXPECTATIONS[name]
+
+
+# one malformed line after OP_PRELUDE (so on line 4): column, found, expected, message
+MALFORMED_LINES = [
+    ("point p = (0.5, 0.2) $", 22, "$", (), "unexpected character"),
+    ("point p = (0.5, 0.2) é", 22, "é", (), "unexpected character"),
+    ("point p = (0.5 0.2) $", 21, "$", (), "unexpected character"),
+    ("point p = (+, 0.2)", 12, "+", (), "unexpected character"),
+    ("point p = (1e, 0.2)", 13, "e", (",",), "expected ','"),
+    ("point p = (0.5 0.2)", 16, "0.2", (",",), "expected ','"),
+    ("point p = (0.5, 0.2,)", 20, ",", (")",), "expected ')'"),
+    ("point p = (0.5, 0.2))", 21, ")", (), "unexpected trailing input"),
+    ("w = intersect(L, C,) select upper", 19, ",", (")",), "expected ')'"),
+    ("w = intersect(L, C)", 20, "end of line", ("'select'",), "expected 'select'"),
+    ("w = intersect(L, C) upper", 21, "upper", ("select",), "every intersection needs a selector"),
+    ("w = intersect(L, C) select sideways", 28, "sideways", SELECTORS, "expected selector keyword"),
+    ("w = intersect(L, C) select nearest", 35, "end of line", ARGUMENT, "expected an argument"),
+    ("w = intersect(L, C) select nearest intersect(L, C) select upper", 36, "intersect", (),
+     "intersect(...) select ... cannot be nested; bind it to a name first"),
+    ("line M = line(on(x, C), x)", 15, "on", (), "on(...) is an assertion; it cannot be an argument"),
+    ("q = teleport(x)", 5, "teleport", ALL_FNS, "unknown function 'teleport'"),
+    ("assert equals(x, origin) tol", 29, "end of line", ("number",), "expected number"),
+    ("assert equals(x, origin) tol abc", 30, "abc", ("number",), "expected number"),
+    ("assert line(x, origin)", 23, "end of line", ("on", "orthogonal", "tangent", "collinear", "equal_rho", "equals"),
+     "'line' is not an assertion kind"),
+    ("line M = line(x,", 17, "end of line", ARGUMENT, "expected an argument"),
+    ("line M = line(x  # note", 24, "end of line", (",",), "expected ','"),
+    ("circle D = circle(x, )", 22, ")", ARGUMENT, "expected an argument"),
+    ("line M = line(x, 0.5)", 18, "0.5", (), "a bare number is only valid as a circle radius"),
+    ("line M = circle(x, 0.5)", 24, "end of line", (), "a line binding needs one of ('line', 'perp')"),
+    ("geodesic G = geodesic(h3, x, origin)", 23, "h3", ("h2", "b2"), "expected model tag"),
+    ("p = invert(x) select upper", 15, "select", (), "unexpected trailing input"),
+    ("= line(x, x)", 1, "=", STATEMENTS, "expected a statement"),
+    ("0.5 = x", 1, "0.5", STATEMENTS, "expected a statement"),
+    ("output", 7, "end of line", ("name",), "expected name"),
+    ("output 3", 8, "3", ("name",), "expected name"),
+    ("line M = line(ghost, origin) junk", 30, "junk", (), "unexpected trailing input"),
+]
+
+
+@pytest.mark.parametrize("line, column, found, expected, message", MALFORMED_LINES, ids=[m[0] for m in MALFORMED_LINES])
+def test_malformed_line_diagnosis(line, column, found, expected, message):
+    with pytest.raises(script.ScriptSyntaxError) as err:
+        script.parse(OP_PRELUDE + line + "\n")
+    e = err.value
+    assert (e.line, e.column, e.found, e.expected) == (4, column, found, expected)
+    assert str(e).startswith(f"line 4, column {column}: {message} (found ")
+
+
+@pytest.mark.parametrize(
+    "line, error, name",
+    [
+        ("line M = line(ghost1, ghost2)", script.UnknownNameError, "ghost1"),  # the first in source order
+        ("w = intersect(L, C) select nearest ghost", script.UnknownNameError, "ghost"),
+        ("output ghost", script.UnknownNameError, "ghost"),
+        ("line x = line(x, origin)", script.DuplicateNameError, "x"),
+        ("line M = line(M, origin)", script.UnknownNameError, "M"),  # bound only once the line has parsed
+    ],
+)
+def test_name_error_diagnosis(line, error, name):
+    assert diagnosis(OP_PRELUDE + line + "\n") == (error, 4, name)
+
+
+@pytest.mark.parametrize("text", ["٣", "１"])
+def test_number_digits_are_ascii(text):
+    # docs/hgc_grammar.ebnf: a digit is 0-9, so a digit of another script is not a number
+    assert diagnosis(f"point p = ({text}, 0.5)\n") == (SYNTAX, 1, 12, text, ())
+
+
+@pytest.mark.parametrize(
+    "line, column, found",
+    [
+        ("point p = (0.86e60254037844387, 0.5)", 12, "0.86e60254037844387"),
+        ("circle C = circle(origin, 1e309)", 27, "1e309"),
+        ("assert equals(origin, origin) tol -1e400", 35, "-1e400"),
+    ],
+)
+def test_number_that_overflows_is_syntax_error(line, column, found):
+    # float() gives inf, which format_program would write as 'inf', and 'inf' is a name
+    assert diagnosis(line + "\n") == (SYNTAX, 1, column, found, ())
+
+
+MUTATION_ALPHABET = "(),=#._-+e0123456789 \txyzLCselectnarouptb\n$é"
+
+
+def test_seeded_mutations_round_trip_or_diagnose():
+    """One-character edits of the corpus either format and reparse to the same program or raise a ScriptError."""
+    rng = random.Random(20240517)
+    sources = [entry.read_text(encoding="utf-8") for entry in corpus_files()]
+    errors = 0
+    for _ in range(1500):
+        source = rng.choice(sources)
+        pos = rng.randrange(len(source) + 1)
+        char = rng.choice(MUTATION_ALPHABET)
+        source = rng.choice((
+            source[:pos] + char + source[pos:],
+            source[:pos] + source[pos + 1 :],
+            source[:pos] + char + source[pos + 1 :],
+        ))
+        try:
+            program = script.parse(source)
+        except script.ScriptError as exc:
+            errors += 1
+            lines = source.splitlines()
+            assert 1 <= exc.line <= len(lines), (source, exc)
+            if isinstance(exc, script.ScriptSyntaxError):
+                assert 1 <= exc.column <= len(lines[exc.line - 1]) + 1, (source, exc)
+            continue
+        assert script.parse(script.format_program(program)) == program, source
+    assert 300 <= errors <= 1200  # both outcomes are exercised

@@ -182,6 +182,11 @@ def _binding(text: str) -> tuple[str, Point2]:
     return name, _point(coords)
 
 
+def _assertion_line(outcome) -> str:
+    tag = "PASS" if outcome.passed else "FAIL"
+    return f"{tag} line {outcome.line}: {outcome.text}  residual={outcome.residual:.3e} tol={outcome.tolerance:.1e}"
+
+
 def cmd_script(args) -> int:
     from . import script
 
@@ -208,8 +213,7 @@ def cmd_script(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     for outcome in result.assertions:
-        tag = "PASS" if outcome.passed else "FAIL"
-        print(f"{tag} line {outcome.line}: {outcome.text}  residual={outcome.residual:.3e} tol={outcome.tolerance:.1e}")
+        print(_assertion_line(outcome))
     for name, value in result.outputs:
         print(f"{name} = {json.dumps(_serialize_value(value))}")
     return EXIT_OK if result.all_assertions_pass() else EXIT_ERROR
@@ -223,10 +227,12 @@ def cmd_render(args) -> int:
         print("error: --size must be positive", file=sys.stderr)
         return EXIT_USAGE
     spec = render.RenderSpec(width=args.size, height=args.size, labels=not args.no_labels)
+    failed = []
     try:
         if args.script:
             program = _load_script(args.script)
             result = script.evaluate(program, tol)
+            failed = [outcome for outcome in result.assertions if not outcome.passed]
             svg = render.render_script_result(script.program_model(program), result.bindings, result.outputs, spec)
         else:
             if args.x is None or args.y is None or args.model is None:
@@ -248,7 +254,9 @@ def cmd_render(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    return EXIT_OK
+    for outcome in failed:
+        print(_assertion_line(outcome), file=sys.stderr)
+    return EXIT_ERROR if failed else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,9 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, type=_point, metavar="A,B")
     p.add_argument("--y", required=True, type=_point, metavar="C,D")
     p.add_argument("--method", default="auto", choices=METHOD_NAMES)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True)
-    fmt.add_argument("--plain", action="store_true")
+    p.add_argument("--plain", action="store_true", help="one line of text instead of JSON")
     p.set_defaults(func=cmd_midpoint)
 
     p = sub.add_parser("verify", help="run the randomized verification sweeps")

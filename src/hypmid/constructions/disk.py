@@ -100,7 +100,7 @@ def b2_case1(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResu
     b.step("line", "m", "nb", name="L1", label="L(m,n̄)")
     b.step("line", "mb", "n", name="L2", label="L(m̄,n)")
     b.step("intersect", "L1", "L2", name="z", select=nearest_to(x))
-    return make_midpoint_result(b, x, y, "z")
+    return make_midpoint_result(b, x, y, "z", PairKind.LINE)
 
 
 def b2_method_I(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
@@ -125,7 +125,7 @@ def b2_method_I(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointR
     b.step("intersect", "Cth", "unit", name="ptan", label="tangency point", select=nearest_to(x))
     b.step("circle", "w", "ptan", name="Cw", label="S¹(w,r_w)")
     b.step("intersect", "Cw", "carrier", name="z", select=IN_DISK)
-    return make_midpoint_result(b, x, y, "z")
+    return make_midpoint_result(b, x, y, "z", PairKind.GENERIC)
 
 
 def b2_methods_II_to_VI(x: Point2, y: Point2, which: str, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
@@ -158,7 +158,7 @@ def b2_methods_II_to_VI(x: Point2, y: Point2, which: str, tol: Tolerance = DEFAU
         raise MethodInapplicable("AuxiliaryAtOrigin", f"auxiliary point {label} coincides with 0")
     b.step("line", "origin", "g", name="Lg", label=f"L(0,{label})")
     b.step("intersect_radius_ortho", "Lg", "carrier", name="z", select=IN_DISK)
-    return make_midpoint_result(b, x, y, "z")
+    return make_midpoint_result(b, x, y, "z", PairKind.GENERIC)
 
 
 def b2_equal_moduli(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
@@ -177,7 +177,7 @@ def b2_equal_moduli(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Midpo
     b.step("line", "x", "y", name="Lxy", label="L(x,y)")
     b.step("perp", "Lxy", "origin", name="La", label="L(0,a)")
     b.step("intersect_radius_ortho", "La", "carrier", name="z", select=IN_DISK)
-    return make_midpoint_result(b, x, y, "z")
+    return make_midpoint_result(b, x, y, "z", PairKind.EQUAL_MODULI)
 
 
 class PointChain(NamedTuple):

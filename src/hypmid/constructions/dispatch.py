@@ -1,8 +1,9 @@
 """Single entry point for midpoint construction with method dispatch.
 
-``auto`` runs the method :data:`AUTO_METHOD` names for the pair's
-configuration; explicit methods run as requested or raise
-:class:`MethodInapplicable`.  Every result is cross-checked against the
+:func:`midpoint` decides the pair's configuration once, with
+:func:`~hypmid.hypmetric.pair_kind`, and hands it on.  ``auto`` runs the
+method :data:`AUTO_METHOD` names for it; explicit methods run as requested
+or raise :class:`MethodInapplicable`.  Every result is cross-checked against the
 closed-form midpoint oracle and the Euclidean distance between the two is
 attached.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from ..errors import MethodInapplicable
 from ..geom2d import DEFAULT_TOL, Point2, Tolerance
-from ..hypmetric import Model, PairKind, midpoint_disk_angles, midpoint_oracle, pair_kind, require_in_domain
+from ..hypmetric import Model, PairKind, midpoint_disk_angles, midpoint_oracle, pair_kind
 from . import disk, halfplane
 from .trace import MidpointResult, TraceBuilder, make_midpoint_result
 
@@ -38,24 +39,24 @@ AUTO_METHOD = {
 }
 
 
-def _angles_result(x: Point2, y: Point2, tol: Tolerance) -> MidpointResult:
+def _angles_result(x: Point2, y: Point2, kind: PairKind, tol: Tolerance) -> MidpointResult:
     # closed-form method: record the carrier for rendering, then the formula z
     z = midpoint_disk_angles(x, y, tol)
     b = TraceBuilder(Model.DISK, "b2-angles", {"x": x, "y": y, "unit": disk.UNIT_CIRCLE}, tol)
     b.step("ortho_circle", "x", "y", name="carrier", label="S¹(a,r_a)")
     b.env["z"] = z
-    return make_midpoint_result(b, x, y, "z")
+    return make_midpoint_result(b, x, y, "z", kind)
 
 
-def _run_b2(x: Point2, y: Point2, method: str, tol: Tolerance) -> MidpointResult:
+def _run_b2(x: Point2, y: Point2, method: str, kind: PairKind, tol: Tolerance) -> MidpointResult:
     if method == "case1":
         return disk.b2_case1(x, y, tol)
     if method == "equal":
         return disk.b2_equal_moduli(x, y, tol)
     if method == "angles":
-        return _angles_result(x, y, tol)
+        return _angles_result(x, y, kind, tol)
     if method in disk.DISK_METHODS:
-        if pair_kind(Model.DISK, x, y, tol) is PairKind.EQUAL_MODULI:
+        if kind is PairKind.EQUAL_MODULI:
             # Eq-(4.4)-style methods divide by |y|^2 - |x|^2; refuse and hand
             # the caller the equal-moduli construction instead.
             fallback = disk.b2_equal_moduli(x, y, tol)
@@ -83,16 +84,15 @@ def midpoint(
     Euclidean distance to :func:`~hypmid.hypmetric.midpoint_oracle`; see
     :meth:`MidpointResult.oracle_disagrees` for when that marks a disagreement.
     """
+    kind = pair_kind(model, x, y, tol)
     if method == "auto":
-        method = AUTO_METHOD[model][pair_kind(model, x, y, tol)]
-    else:
-        require_in_domain(model, x, y)
+        method = AUTO_METHOD[model][kind]
     if model is Model.HALF_PLANE:
         runner = H2_METHODS.get(method)
         if runner is None:
             raise ValueError(f"unknown half-plane method {method!r}; expected auto, case1 or I..IV")
         result = runner(x, y, tol)
     else:
-        result = _run_b2(x, y, method, tol)
+        result = _run_b2(x, y, method, kind, tol)
     distance = (result.z - midpoint_oracle(model, x, y, tol)).norm()
     return MidpointResult(result.z, result.trace, result.residual_equal_distance, result.residual_on_geodesic, distance)

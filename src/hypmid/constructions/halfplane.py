@@ -8,8 +8,6 @@ in the boundary, which forces its center onto the real axis).
 
 from __future__ import annotations
 
-import math
-
 from ..errors import MethodInapplicable, NotVerticallyAligned
 from ..geom2d import (
     DEFAULT_TOL,
@@ -19,7 +17,7 @@ from ..geom2d import (
     Tolerance,
     nearest_to,
 )
-from ..hypmetric import Model, PairKind, pair_kind
+from ..hypmetric import Model, PairKind, pair_kind, semicircle_ends
 from .trace import MidpointResult, TraceBuilder, make_midpoint_result
 
 AXIS = Line2(Point2(0.0, 1.0), 0.0)
@@ -77,7 +75,7 @@ def h2_case1(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResu
     b.step("intersect", "C1", "C2", name="a", select=nearest_to(Point2(x.x1 + y.x2, x.x2)))
     b.step("circle", "o", "a", name="C3", label="S¹(o,|a|)")
     b.step("intersect", "Lxy", "C3", name="z", select=UPPER)
-    return make_midpoint_result(b, x, y, "z")
+    return make_midpoint_result(b, x, y, "z", PairKind.LINE)
 
 
 def h2_method_I(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
@@ -95,18 +93,14 @@ def h2_method_I(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointR
     b.step("intersect", "Lxy", "axis", name="w", select=nearest_to(x))
     b.step("circle_diameter", "w", "carrier", name="Cd", label="S¹((w+o)/2,|w-o|/2)")
     b.step("intersect", "Cd", "carrier", name="z", select=UPPER)
-    return make_midpoint_result(b, x, y, "z")
+    return make_midpoint_result(b, x, y, "z", PairKind.GENERIC)
 
 
 def h2_method_II(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
     """Ideal-chord method: z above v = L(x, x_*) n L(y, y_*)."""
     _require_circular(x, y, tol)
     b = _builder("h2-II", x, y, tol)
-    carrier = _carrier_circle(b)
-    # x_* is the carrier's end on x's side: order x and y by their angles about its center
-    o1, r = carrier.center.x1, carrier.radius
-    right, left = Point2(o1 + r, 0.0), Point2(o1 - r, 0.0)
-    xstar, ystar = (right, left) if math.atan2(x.x2, x.x1 - o1) < math.atan2(y.x2, y.x1 - o1) else (left, right)
+    xstar, ystar = semicircle_ends(x, y, _carrier_circle(b))
     b.step("intersect", "carrier", "axis", name="xs", label="x_*", select=nearest_to(xstar))
     b.step("intersect", "carrier", "axis", name="ys", label="y_*", select=nearest_to(ystar))
     b.step("line", "x", "xs", name="Lx", label="L(x,x_*)")
@@ -114,7 +108,7 @@ def h2_method_II(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Midpoint
     b.step("intersect", "Lx", "Ly", name="v", select=nearest_to(x))
     b.step("perp", "axis", "v", name="Lv", label="L(v)")
     b.step("intersect", "Lv", "carrier", name="z", select=UPPER)
-    return make_midpoint_result(b, x, y, "z")
+    return make_midpoint_result(b, x, y, "z", PairKind.GENERIC)
 
 
 def h2_method_III(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
@@ -134,7 +128,7 @@ def h2_method_III(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Midpoin
     b.step("circle", "a", "x", name="Sa", label="S¹(a,r_a)")
     b.step("perp", "axis", "a", name="La", label="L(a)")
     b.step("intersect", "La", "carrier", name="z", select=UPPER)
-    return make_midpoint_result(b, x, y, "z")
+    return make_midpoint_result(b, x, y, "z", PairKind.GENERIC)
 
 
 def h2_method_IV(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
@@ -148,4 +142,4 @@ def h2_method_IV(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Midpoint
     b.step("intersect", "L1", "L2", name="z1", select=nearest_to(Point2(x.x1, 0.0)))
     b.step("perp", "axis", "z1", name="Lz1", label="L(z₁)")
     b.step("intersect", "Lz1", "carrier", name="z", select=UPPER)
-    return make_midpoint_result(b, x, y, "z")
+    return make_midpoint_result(b, x, y, "z", PairKind.GENERIC)

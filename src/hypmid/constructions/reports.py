@@ -170,10 +170,9 @@ def lemma31_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Diagno
 
 def lemma46_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> DiagnosticsReport:
     """Disk bisector-circle claims plus the shared-line and inversion-pair claims."""
-    require_generic(x, y, tol)
+    w, r_w = bisector_circle(x, y, tol)  # refuses all but a generic pair
     ortho = ortho_circle_through(x, y, tol)
     a, sa = ortho.a, ortho.as_circle()
-    w, r_w = bisector_circle(x, y, tol)
     sw = Circle2(w, r_w)
     xsup, ysup = invert_unit(x, tol), invert_unit(y, tol)
     xsub, ysub = arc_ends(x, y, ortho)

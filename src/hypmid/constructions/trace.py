@@ -51,6 +51,7 @@ from ..geom2d import (
 from ..hypmetric import (
     Geodesic,
     Model,
+    PairKind,
     geodesic_carrier,
     geodesic_of,
     midpoint_oracle,
@@ -116,10 +117,11 @@ class MidpointResult(NamedTuple):
         return self.oracle_distance is not None and self.oracle_distance > ORACLE_FLAG_THRESHOLD
 
 
-def make_midpoint_result(builder: "TraceBuilder", x: Point2, y: Point2, z_name: str) -> MidpointResult:
+def make_midpoint_result(builder: "TraceBuilder", x: Point2, y: Point2, z_name: str, kind: PairKind) -> MidpointResult:
+    """Seal the trace and measure z against x, y; ``kind`` is the pair's case, already decided."""
     z = builder.env[z_name]
     trace = builder.finish(z_name)
-    carrier = geodesic_carrier(builder.model, x, y, builder.tol)
+    carrier = geodesic_carrier(builder.model, x, y, kind, builder.tol)
     return MidpointResult(
         z=z,
         trace=trace,

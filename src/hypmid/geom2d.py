@@ -147,16 +147,14 @@ DEFAULT_TOL = Tolerance()
 class Line2(Slotted):
     """Line in normalized implicit form {p : n.p = c} with |n| = 1.
 
-    Vertical lines need no special case.  ``provenance`` optionally keeps the
-    two defining points.
+    Vertical lines need no special case.
     """
 
-    __slots__ = ("n", "c", "provenance")
+    __slots__ = ("n", "c")
 
-    def __init__(self, n: Point2, c: float, provenance: tuple[Point2, Point2] | None = None):
+    def __init__(self, n: Point2, c: float):
         self.n = n
         self.c = c
-        self.provenance = provenance
 
     def residual(self, p: Point2) -> float:
         """Signed distance of p from the line (n is a unit vector)."""
@@ -216,19 +214,21 @@ def line_through(p: Point2, q: Point2, tol: Tolerance = DEFAULT_TOL) -> Line2:
     if length <= tol.eps_degenerate * (1.0 + math.hypot(p1, p2) + math.hypot(q1, q2)):
         raise DegenerateInput(f"line through coincident points {p} ~ {q}")
     n1, n2 = -d2 / length, d1 / length
-    return Line2(Point2(n1, n2), n1 * p1 + n2 * p2, provenance=(p, q))
+    return Line2(Point2(n1, n2), n1 * p1 + n2 * p2)
 
 
 def perpendicular_through(l: Line2, p: Point2) -> Line2:
     """Line through p orthogonal to l."""
     n1, n2 = -l.n.x2, l.n.x1  # l.direction()
-    return Line2(Point2(n1, n2), n1 * p.x1 + n2 * p.x2, provenance=None)
+    return Line2(Point2(n1, n2), n1 * p.x1 + n2 * p.x2)
 
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker/Veltkamp split
 
 
 def _two_product(a: float, b: float) -> tuple[float, float]:
+    # Dekker: a b = p + err exactly, each factor split by Veltkamp into a 26-bit
+    # high part and the rest (Python 3.11 has no math.fma)
     p = a * b
     c = _SPLITTER * a
     ahi = c - (c - a)

@@ -3,15 +3,17 @@
 Supports the upper half-plane (points with x2 > 0, geodesics are vertical
 lines and semicircles centered on the real axis) and the Poincare unit disk
 (points with |x| < 1, geodesics are diameters and arcs orthogonal to the unit
-circle).  The midpoint oracle is one symmetric closed form per model,
-evaluated without cancellation; it builds no carrier, and shares only the
-domain and distinct-points checks of :func:`pair_kind` with the
-constructions.  :func:`geodesic_carrier` is the closed-form carrier that
-``make_midpoint_result`` measures every result's carrier residual against.
-:func:`geodesic_of` adds the ordered ideal endpoints, which the ``.hgc``
-``geodesic`` op and :func:`rho_via_cross_ratio` read; the constructions order
-theirs on the carrier they have recorded (disk methods III-VI with
-:func:`arc_ends`).
+circle).  :func:`pair_kind` decides a pair's case of the paper's
+constructions and checks its domain and distinctness.  Each public entry
+point that takes a pair decides it once (a method's precondition, the
+dispatching ``midpoint``, the oracle, :func:`geodesic_of`) and hands the
+:class:`PairKind` on, so :func:`geodesic_carrier` takes it instead of
+deciding again.  :func:`geodesic_of` adds the ordered ideal endpoints, which
+the ``.hgc`` ``geodesic`` op and :func:`rho_via_cross_ratio` read; the
+constructions order theirs on the carrier they have recorded, with
+:func:`arc_ends` (disk) or :func:`semicircle_ends` (half-plane).  The
+midpoint oracle is one symmetric closed form per model, evaluated without
+cancellation; it builds no carrier.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .geom2d import (
     Point2,
     Slotted,
     Tolerance,
+    _two_product,
 )
 from .moebius import INFINITY, ExtendedPoint, absolute_ratio
 
@@ -196,9 +199,11 @@ def unit_circle_crossings(a: Point2) -> tuple[Point2, Point2]:
     return Point2(b1 + h1, b2 + h2), Point2(b1 - h1, b2 - h2)
 
 
-def geodesic_carrier(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Carrier:
-    """Euclidean carrier of the geodesic through x and y, from its closed form."""
-    kind = pair_kind(model, x, y, tol)
+def geodesic_carrier(model: Model, x: Point2, y: Point2, kind: PairKind, tol: Tolerance = DEFAULT_TOL) -> Carrier:
+    """Euclidean carrier of the geodesic through x and y, from its closed form.
+
+    ``kind`` is ``pair_kind(model, x, y, tol)``, which the caller has decided.
+    """
     if model is Model.HALF_PLANE:
         if kind is PairKind.LINE:
             return Line2(Point2(1.0, 0.0), x.x1)
@@ -225,20 +230,27 @@ def arc_ends(x: Point2, y: Point2, ortho: OrthoCircle) -> tuple[Point2, Point2]:
     return (e1, e2) if t1 > 0.0 else (e2, e1)
 
 
+def semicircle_ends(x: Point2, y: Point2, carrier: Circle2) -> tuple[Point2, Point2]:
+    """Where the half-plane carrier through x and y meets the real axis, as (x_*, y_*).
+
+    The ends are ordered so that x_*, x, y, y_* occur in this order along it.
+    """
+    o1, r = carrier.center.x1, carrier.radius
+    right, left = Point2(o1 + r, 0.0), Point2(o1 - r, 0.0)
+    return (right, left) if math.atan2(x.x2, x.x1 - o1) < math.atan2(y.x2, y.x1 - o1) else (left, right)
+
+
 def geodesic_of(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Geodesic:
     """Carrier and ordered ideal endpoints of the geodesic through x and y."""
-    carrier = geodesic_carrier(model, x, y, tol)
+    kind = pair_kind(model, x, y, tol)
+    carrier = geodesic_carrier(model, x, y, kind, tol)
     if model is Model.HALF_PLANE:
-        if isinstance(carrier, Line2):
+        if kind is PairKind.LINE:
             foot = Point2(x.x1, 0.0)
             ends = (foot, INFINITY) if x.x2 < y.x2 else (INFINITY, foot)
         else:
-            o1, r = carrier.center.x1, carrier.radius
-            right, left = Point2(o1 + r, 0.0), Point2(o1 - r, 0.0)
-            phi_x = math.atan2(x.x2, x.x1 - o1)
-            phi_y = math.atan2(y.x2, y.x1 - o1)
-            ends = (right, left) if phi_x < phi_y else (left, right)
-    elif isinstance(carrier, Line2):
+            ends = semicircle_ends(x, y, carrier)
+    elif kind is PairKind.LINE:
         d = -carrier.direction()  # the unit vector from x towards y
         ends = (-d, d) if x.dot(d) < y.dot(d) else (d, -d)
     else:
@@ -314,19 +326,6 @@ def midpoint_disk_angles(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> 
     c = math.exp((_arc_coordinate(alpha, big_a) + _arc_coordinate(beta, big_a)) / 2.0)
     delta = 2.0 * math.atan((c - 1.0) / (big_a * (c + 1.0)))
     return arc_point(delta, ortho)
-
-
-def _two_product(a: float, b: float) -> tuple[float, float]:
-    # Dekker: a b = p + e exactly, with each factor split by Veltkamp into a
-    # 26-bit high part and the rest (Python 3.11 has no math.fma)
-    p = a * b
-    c = 134217729.0 * a  # 2**27 + 1
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    c = 134217729.0 * b
-    b_hi = c - (c - b)
-    b_lo = b - b_hi
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 def _one_minus_dot(a1: float, a2: float, b1: float, b2: float) -> float:

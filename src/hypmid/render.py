@@ -26,28 +26,16 @@ DEFAULT_STYLES = {
 
 
 class RenderSpec(Slotted):
-    """Canvas size, viewport and styling for one figure."""
+    """Canvas size and labelling for one figure; the viewport fits its objects."""
 
-    __slots__ = ("width", "height", "viewport", "labels", "styles")
+    __slots__ = ("width", "height", "labels")
 
-    def __init__(
-        self,
-        width: int = 640,
-        height: int = 640,
-        viewport: tuple[float, float, float, float] | None = None,  # xmin, xmax, ymin, ymax
-        labels: bool = True,
-        styles: dict | None = None,
-    ):
+    def __init__(self, width: int = 640, height: int = 640, labels: bool = True):
         if width <= 0 or height <= 0:
             raise ValueError(f"canvas must be positive, got {width}x{height}")
         self.width = width
         self.height = height
-        self.viewport = viewport
         self.labels = labels
-        self.styles = {} if styles is None else styles
-
-    def style(self, cls: str) -> str:
-        return self.styles.get(cls, DEFAULT_STYLES[cls])
 
 
 def _f(v: float) -> str:
@@ -68,13 +56,13 @@ class _Canvas:
     def circle(self, c: Circle2, cls: str):
         cx, cy = self.to_px(c.center)
         self.elems.append(
-            f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(c.radius * self.scale)}" style="{self.spec.style(cls)}"/>'
+            f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(c.radius * self.scale)}" style="{DEFAULT_STYLES[cls]}"/>'
         )
 
     def segment(self, p: Point2, q: Point2, cls: str):
         (x1, y1), (x2, y2) = self.to_px(p), self.to_px(q)
         self.elems.append(
-            f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}" style="{self.spec.style(cls)}"/>'
+            f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}" style="{DEFAULT_STYLES[cls]}"/>'
         )
 
     def line(self, l: Line2, cls: str):
@@ -105,12 +93,12 @@ class _Canvas:
 
     def dot(self, p: Point2, cls: str, r: float = 3.0):
         cx, cy = self.to_px(p)
-        self.elems.append(f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(r)}" style="{self.spec.style(cls)}"/>')
+        self.elems.append(f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(r)}" style="{DEFAULT_STYLES[cls]}"/>')
 
     def text(self, p: Point2, s: str, dx: float = 5.0, dy: float = -5.0):
         cx, cy = self.to_px(p)
         self.elems.append(
-            f'<text x="{_f(cx + dx)}" y="{_f(cy + dy)}" style="{self.spec.style("label")}">{_escape(s)}</text>'
+            f'<text x="{_f(cx + dx)}" y="{_f(cy + dy)}" style="{DEFAULT_STYLES["label"]}">{_escape(s)}</text>'
         )
 
 
@@ -152,7 +140,7 @@ def _header(spec: RenderSpec) -> list[str]:
 def render_objects(model: Model, objects, result_names, initial_names, spec: RenderSpec) -> str:
     """Render named geometry: the model boundary, carriers, then points on top."""
     objects = list(objects)
-    viewport = spec.viewport or _bounds_of(objects, model)
+    viewport = _bounds_of(objects, model)
     cv = _Canvas(spec, viewport)
     if model is Model.DISK:
         cv.circle(Circle2(Point2(0.0, 0.0), 1.0), "boundary")

@@ -217,6 +217,18 @@ class TestRender:
         assert code == 0
         assert out.exists()
 
+    def test_script_with_failing_assertion(self, capsys, tmp_path):
+        src, out = tmp_path / "f.hgc", tmp_path / "f.svg"
+        src.write_text("point x = (0.5, 0.0)\nassert equals(x, origin)\noutput x\n", encoding="utf-8")
+        code, stdout, _ = run(capsys, "script", "run", str(src))
+        assert code == 1
+        fail_line = [line for line in stdout.splitlines() if line.startswith("FAIL line 2: ")]
+        assert len(fail_line) == 1
+        code, _, err = run(capsys, "render", "--script", str(src), "--out", str(out))
+        assert code == 1
+        assert err.splitlines() == fail_line
+        assert out.read_text(encoding="utf-8").startswith("<?xml")
+
     def test_missing_script_file(self, capsys, tmp_path):
         out = tmp_path / "x.svg"
         code, _, err = run(capsys, "render", "--script", str(tmp_path / "missing.hgc"), "--out", str(out))

@@ -22,6 +22,7 @@ from hypmid.constructions import (
 )
 from hypmid import hypmetric, script
 from hypmid.constructions import disk, dispatch
+from hypmid.constructions.reports import lemma46_report
 from hypmid.constructions.trace import OPS, replay
 from hypmid.errors import (
     ChainSaturated,
@@ -279,6 +280,8 @@ class TestDispatch:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             midpoint(Model.HALF_PLANE, Point2(0, 1), Point2(1, 1), "V")
+        with pytest.raises(ValueError):
+            midpoint(Model.DISK, Point2(0.5, 0), Point2(0, 0.25), "bogus")
 
     def test_every_applicable_method_same_z(self):
         x, y = Point2(0.5, 0), Point2(0, 0.25)
@@ -582,3 +585,53 @@ def test_no_method_builds_ideal_endpoints_it_does_not_read(monkeypatch):
     assert midpoint(Model.DISK, Point2(0.5, 0.1), Point2(0.1, 0.5), "equal").oracle_distance <= 1e-12
     for method in ("I", "II", "III", "IV"):
         assert midpoint(Model.HALF_PLANE, Point2(1, 1), Point2(2.5, 0.7), method).oracle_distance <= 1e-12, method
+
+
+# one pair of each configuration per model, and the function of each direct method
+PAIR_OF = {
+    (Model.DISK, "generic"): (Point2(0.5, 0.1), Point2(0.1, 0.3)),
+    (Model.DISK, "equal"): (Point2(0.5, 0.1), Point2(0.1, 0.5)),
+    (Model.DISK, "line"): (Point2(0.1, 0.1), Point2(0.3, 0.3)),
+    (Model.HALF_PLANE, "generic"): (Point2(1.0, 1.0), Point2(2.5, 0.7)),
+    (Model.HALF_PLANE, "line"): (Point2(2.0, 1.0), Point2(2.0, 4.0)),
+}
+DIRECT_METHODS = [
+    (Model.DISK, "generic", "I", b2_method_I),
+    *[(Model.DISK, "generic", m, lambda x, y, m=m: b2_methods_II_to_VI(x, y, m)) for m in ("II", "III", "IV", "V", "VI")],
+    (Model.DISK, "line", "case1", b2_case1),
+    (Model.DISK, "equal", "equal", b2_equal_moduli),
+    (Model.HALF_PLANE, "line", "case1", h2_case1),
+    (Model.HALF_PLANE, "generic", "I", h2_method_I),
+    (Model.HALF_PLANE, "generic", "II", h2_method_II),
+    (Model.HALF_PLANE, "generic", "III", h2_method_III),
+    (Model.HALF_PLANE, "generic", "IV", h2_method_IV),
+]
+
+
+# a method decides the pair's case in its precondition; midpoint() decides it
+# once for dispatch, and the oracle once for its own domain check
+def test_each_call_decides_the_pair_kind_once(monkeypatch):
+    original = hypmetric.pair_kind
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hypmid") and getattr(module, "pair_kind", None) is original:
+            monkeypatch.setattr(module, "pair_kind", counted)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    for model, config, method, fn in DIRECT_METHODS:
+        x, y = PAIR_OF[(model, config)]
+        assert count(fn, x, y) == 1, (model, method)
+        assert count(midpoint, model, x, y, method) == 3, (model, method)
+    for (model, config), (x, y) in PAIR_OF.items():
+        assert count(midpoint, model, x, y, "auto") == 3, (model, config)
+    assert count(midpoint, Model.DISK, *PAIR_OF[(Model.DISK, "generic")], "angles") == 2
+    assert count(lemma46_report, *PAIR_OF[(Model.DISK, "generic")]) == 1

@@ -62,8 +62,8 @@ class TestValues:
         assert p != (0.5, 0.0) and (0.5, 0.0) != p
 
     def test_values_compare_by_fields(self):
-        assert X_AXIS == Line2(Point2(0.0, 1.0), 0.0, provenance=None)
-        assert X_AXIS.provenance is None
+        assert X_AXIS == Line2(Point2(0.0, 1.0), 0.0)
+        assert line_through(Point2(0.0, 0.0), Point2(1.0, 0.0)) == line_through(Point2(2.0, 0.0), Point2(3.0, 0.0))
         assert hash(Circle2(ORIGIN, 1.0)) == hash(Circle2(Point2(0.0, 0.0), 1.0))
         assert Circle2(ORIGIN, 1.0) != Circle2(ORIGIN, 2.0)
         assert Circle2(ORIGIN, 1.0) != Line2(Point2(0.0, 1.0), 1.0)

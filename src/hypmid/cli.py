@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .constructions import AGREEMENT_TOL, H2_METHODS, METHOD_NAMES, SUITES, MidpointResult, midpoint
+from .constructions import AGREEMENT_TOL, METHOD_NAMES, METHODS, SUITES, MidpointResult, midpoint
 from .errors import GeometryError, MethodInapplicable
 from .geom2d import Point2, Tolerance
 from .hypmetric import Geodesic, Model
@@ -79,9 +79,10 @@ def default_tolerance() -> Tolerance:
 
 def _lacks_method(model: Model, method: str) -> bool:
     """Print a usage error if the model lacks the method (h2 has no equal, V, VI or angles)."""
-    if model is Model.HALF_PLANE and method != "auto" and method not in H2_METHODS:
-        expected = ", ".join(("auto", *H2_METHODS))
-        print(f"error: --method {method} is not a half-plane method; expected {expected}", file=sys.stderr)
+    methods = METHODS[model]
+    if method != "auto" and method not in methods:
+        expected = ", ".join(("auto", *methods))
+        print(f"error: --method {method} is not a {model.value} method; expected {expected}", file=sys.stderr)
         return True
     return False
 

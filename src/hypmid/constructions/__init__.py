@@ -5,9 +5,6 @@ only the sweeps import.
 """
 
 from .disk import (
-    DISK_METHODS,
-    UNIT_CIRCLE,
-    PointChain,
     b2_case1,
     b2_equal_moduli,
     b2_method_I,
@@ -15,11 +12,10 @@ from .disk import (
     bisector_circle,
     scale_sequence,
 )
-from .dispatch import AGREEMENT_TOL, H2_METHODS, METHOD_NAMES, SUITES, midpoint
-from .halfplane import AXIS, h2_case1, h2_method_I, h2_method_II, h2_method_III, h2_method_IV
+from .dispatch import AGREEMENT_TOL, METHOD_NAMES, METHODS, SUITES, midpoint
+from .halfplane import h2_case1, h2_method_I, h2_method_II, h2_method_III, h2_method_IV
 from .trace import (
     ORACLE_FLAG_THRESHOLD,
-    ConstructionStep,
     ConstructionTrace,
     MidpointResult,
     TraceBuilder,
@@ -27,18 +23,13 @@ from .trace import (
 
 __all__ = [
     "AGREEMENT_TOL",
-    "AXIS",
-    "ConstructionStep",
     "ConstructionTrace",
-    "DISK_METHODS",
-    "H2_METHODS",
+    "METHODS",
     "METHOD_NAMES",
     "MidpointResult",
     "ORACLE_FLAG_THRESHOLD",
-    "PointChain",
     "SUITES",
     "TraceBuilder",
-    "UNIT_CIRCLE",
     "b2_case1",
     "b2_equal_moduli",
     "b2_method_I",

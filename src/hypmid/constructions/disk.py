@@ -8,15 +8,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from ..errors import (
-    ChainSaturated,
-    CollinearWithOrigin,
-    DegenerateInput,
-    EqualModuli,
-    MethodInapplicable,
-    NotOnDiameter,
-    ParallelLines,
-)
+from ..errors import ChainSaturated, DegenerateInput, MethodInapplicable, ParallelLines
 from ..geom2d import (
     DEFAULT_TOL,
     IN_DISK,
@@ -26,12 +18,10 @@ from ..geom2d import (
     Tolerance,
     nearest_to,
 )
-from ..hypmetric import Model, OrthoCircle, PairKind, arc_ends, pair_kind, require_in_domain, rho_disk
+from ..hypmetric import Model, OrthoCircle, PairKind, arc_ends, require_case, require_in_domain, rho_disk
 from .trace import ConstructionTrace, MidpointResult, TraceBuilder, make_midpoint_result
 
 UNIT_CIRCLE = Circle2(ORIGIN, 1.0)
-
-DISK_METHODS = ("I", "II", "III", "IV", "V", "VI")
 
 # auxiliary point of each chord method: (label, endpoint names of the two chords)
 _METHOD_CHORDS = {
@@ -47,16 +37,6 @@ def _builder(method_id: str, x: Point2, y: Point2, tol: Tolerance) -> TraceBuild
     return TraceBuilder(Model.DISK, method_id, {"x": x, "y": y, "unit": UNIT_CIRCLE, "origin": ORIGIN}, tol)
 
 
-def require_generic(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> None:
-    """Precondition of the bisector circle, methods I-VI and the lemma 4.6 and
-    proposition 4.7 reports: a :attr:`PairKind.GENERIC` pair."""
-    kind = pair_kind(Model.DISK, x, y, tol)
-    if kind is PairKind.LINE:
-        raise CollinearWithOrigin(f"0, {x}, {y} are collinear")
-    if kind is PairKind.EQUAL_MODULI:
-        raise EqualModuli(f"|x| = |y| = {x.norm()!r}; the bisector circle degenerates")
-
-
 def bisector_circle(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> tuple[Point2, float]:
     """Center and radius of the circle orthogonal to both S1 and S(a, r_a).
 
@@ -64,7 +44,7 @@ def bisector_circle(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> tuple
     r_w = |x-y| sqrt((1-|x|^2)(1-|y|^2)) / ||y|^2 - |x|^2|.
     Its intersection with the geodesic carrier is the hyperbolic midpoint.
     """
-    require_generic(x, y, tol)
+    require_case(Model.DISK, x, y, (PairKind.GENERIC,), tol)
     nx2, ny2 = x.norm_sq(), y.norm_sq()
     den = ny2 - nx2
     w = (y * (1.0 - nx2) - x * (1.0 - ny2)) * (1.0 / den)
@@ -86,8 +66,7 @@ def b2_case1(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResu
     m, m-bar (and n, n-bar) are the unit-circle points of the chords through
     x (and y) perpendicular to the diameter; same-side points are paired.
     """
-    if pair_kind(Model.DISK, x, y, tol) is not PairKind.LINE:
-        raise NotOnDiameter(f"0, {x}, {y} are not collinear")
+    require_case(Model.DISK, x, y, (PairKind.LINE,), tol)
     b = _builder("b2-case1", x, y, tol)
     ld = b.step("line", "x", "y", name="Ld", label="L(x,y)")
     side = ld.n  # unit normal; chord roots sit at +/- this direction
@@ -110,7 +89,7 @@ def b2_method_I(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointR
     compass as the tangent length from w to the unit circle (equivalent to
     orthogonality to S(a, r_a) because w.a = 1).
     """
-    require_generic(x, y, tol)
+    require_case(Model.DISK, x, y, (PairKind.GENERIC,), tol)
     b = _builder("b2-I", x, y, tol)
     b.step("invert", "x", name="xsup", label="x^*")
     b.step("invert", "y", name="ysup", label="y^*")
@@ -136,7 +115,7 @@ def b2_methods_II_to_VI(x: Point2, y: Point2, which: str, tol: Tolerance = DEFAU
     """
     if which not in _METHOD_CHORDS:
         raise ValueError(f"method must be one of {sorted(_METHOD_CHORDS)}, got {which!r}")
-    require_generic(x, y, tol)
+    require_case(Model.DISK, x, y, (PairKind.GENERIC,), tol)
     label, (p1, q1), (p2, q2) = _METHOD_CHORDS[which]
     b = _builder(f"b2-{which}", x, y, tol)
     needed = {p1, q1, p2, q2}
@@ -167,11 +146,7 @@ def b2_equal_moduli(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Midpo
     With |x| = |y| the perpendicular to L(x,y) through 0 is exactly L(0, a),
     so no center needs to be extracted.
     """
-    kind = pair_kind(Model.DISK, x, y, tol)
-    if kind is PairKind.LINE:
-        raise CollinearWithOrigin(f"0, {x}, {y} are collinear")
-    if kind is PairKind.GENERIC:
-        raise MethodInapplicable("ModuliDiffer", f"|x| != |y| ({x.norm()!r} vs {y.norm()!r})")
+    require_case(Model.DISK, x, y, (PairKind.EQUAL_MODULI,), tol)
     b = _builder("b2-equal-moduli", x, y, tol)
     b.step("ortho_circle", "x", "y", name="carrier", label="S¹(a,r_a)")
     b.step("line", "x", "y", name="Lxy", label="L(x,y)")

@@ -8,7 +8,7 @@ in the boundary, which forces its center onto the real axis).
 
 from __future__ import annotations
 
-from ..errors import MethodInapplicable, NotVerticallyAligned
+from ..errors import MethodInapplicable
 from ..geom2d import (
     DEFAULT_TOL,
     UPPER,
@@ -17,7 +17,7 @@ from ..geom2d import (
     Tolerance,
     nearest_to,
 )
-from ..hypmetric import Model, PairKind, pair_kind, semicircle_ends
+from ..hypmetric import Model, PairKind, require_case, semicircle_ends
 from .trace import MidpointResult, TraceBuilder, make_midpoint_result
 
 AXIS = Line2(Point2(0.0, 1.0), 0.0)
@@ -37,13 +37,6 @@ def _carrier_circle(b: TraceBuilder):
     return b.step("circle_through", "x", "y", "xbar", name="carrier", label="S¹(o,r)")
 
 
-def _require_circular(x: Point2, y: Point2, tol: Tolerance) -> None:
-    if pair_kind(Model.HALF_PLANE, x, y, tol) is PairKind.LINE:
-        raise MethodInapplicable(
-            "VerticalCarrier", "x and y share a vertical geodesic; use the vertical case"
-        )
-
-
 def h2_case1(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
     """Vertical-geodesic bisection; the result satisfies (Im z)^2 = Im x * Im y.
 
@@ -52,8 +45,7 @@ def h2_case1(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResu
     itself constructed), the circle around o through their intersection, and
     finally its upper intersection with the line.
     """
-    if pair_kind(Model.HALF_PLANE, x, y, tol) is not PairKind.LINE:
-        raise NotVerticallyAligned(f"x1 differs: {x.x1!r} vs {y.x1!r}")
+    require_case(Model.HALF_PLANE, x, y, (PairKind.LINE,), tol)
     if x.x2 > y.x2:
         x, y = y, x
     b = _builder("h2-case1", x, y, tol)
@@ -84,7 +76,7 @@ def h2_method_I(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointR
     w is the boundary point of the chord L(x, y); the method is inapplicable
     when the chord is parallel to the boundary (equal heights).
     """
-    _require_circular(x, y, tol)
+    require_case(Model.HALF_PLANE, x, y, (PairKind.GENERIC,), tol)
     if abs(x.x2 - y.x2) <= tol.eps_degenerate * (1.0 + x.norm() + y.norm()):
         raise MethodInapplicable("ParallelChord", "L(x,y) is parallel to the boundary; w does not exist")
     b = _builder("h2-I", x, y, tol)
@@ -98,7 +90,7 @@ def h2_method_I(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointR
 
 def h2_method_II(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
     """Ideal-chord method: z above v = L(x, x_*) n L(y, y_*)."""
-    _require_circular(x, y, tol)
+    require_case(Model.HALF_PLANE, x, y, (PairKind.GENERIC,), tol)
     b = _builder("h2-II", x, y, tol)
     xstar, ystar = semicircle_ends(x, y, _carrier_circle(b))
     b.step("intersect", "carrier", "axis", name="xs", label="x_*", select=nearest_to(xstar))
@@ -117,7 +109,7 @@ def h2_method_III(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Midpoin
     S(a, r_a) passes through x, y orthogonally to the carrier, so its center
     is the intersection of the carrier tangents at x and y.
     """
-    _require_circular(x, y, tol)
+    require_case(Model.HALF_PLANE, x, y, (PairKind.GENERIC,), tol)
     b = _builder("h2-III", x, y, tol)
     _carrier_circle(b)
     b.step("line", "carrier", "x", name="Lox", label="L(o,x)")
@@ -133,7 +125,7 @@ def h2_method_III(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Midpoin
 
 def h2_method_IV(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
     """Reflected-chord method: z above z1 = L(x, y-bar) n L(x-bar, y)."""
-    _require_circular(x, y, tol)
+    require_case(Model.HALF_PLANE, x, y, (PairKind.GENERIC,), tol)
     b = _builder("h2-IV", x, y, tol)
     _carrier_circle(b)  # also produces xbar
     b.step("reflect_real", "y", name="ybar", label="ȳ")

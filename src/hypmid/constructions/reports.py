@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from ..errors import CollinearWithOrigin, DegenerateInput, NotOnUnitCircle
+from ..errors import DegenerateInput, NotOnUnitCircle
 from ..geom2d import (
     BOTH,
     DEFAULT_TOL,
@@ -39,12 +39,12 @@ from ..hypmetric import (
     arc_ends,
     midpoint_halfplane_unitcircle,
     ortho_circle_through,
-    pair_kind,
+    require_case,
     rho_disk,
     rho_halfplane,
 )
 from ..moebius import absolute_ratio
-from .disk import UNIT_CIRCLE, bisector_circle, require_generic
+from .disk import UNIT_CIRCLE, bisector_circle
 
 PASS = "pass"
 FAIL = "fail"
@@ -216,7 +216,7 @@ def semicircle_residual(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> f
 def prop47_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> DiagnosticsReport:
     """Circumcircle claims: collinearity always; midpoint/orthogonality/ratio
     equality only when the arc x^*, x, y, y^* is a semicircle."""
-    require_generic(x, y, tol)
+    require_case(Model.DISK, x, y, (PairKind.GENERIC,), tol)
     ortho = ortho_circle_through(x, y, tol)
     sa = ortho.as_circle()
     xsup, ysup = invert_unit(x, tol), invert_unit(y, tol)
@@ -268,8 +268,7 @@ def prop48_orthogonality(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> 
     Both residuals are signed and share their sign, so the predicate flips
     exactly where the cosine criterion changes sign.
     """
-    if pair_kind(Model.DISK, x, y, tol) is PairKind.LINE:
-        raise CollinearWithOrigin(f"0, {x}, {y} are collinear")
+    require_case(Model.DISK, x, y, (PairKind.GENERIC, PairKind.EQUAL_MODULI), tol)
     nx, ny = x.norm(), y.norm()
     cx = Circle2(invert_unit(x, tol), math.sqrt(1.0 / x.norm_sq() - 1.0))
     cy = Circle2(invert_unit(y, tol), math.sqrt(1.0 / y.norm_sq() - 1.0))

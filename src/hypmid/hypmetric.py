@@ -4,7 +4,8 @@ Supports the upper half-plane (points with x2 > 0, geodesics are vertical
 lines and semicircles centered on the real axis) and the Poincare unit disk
 (points with |x| < 1, geodesics are diameters and arcs orthogonal to the unit
 circle).  :func:`pair_kind` decides a pair's case of the paper's
-constructions and checks its domain and distinctness.  Each public entry
+constructions and checks its domain and distinctness, and :func:`require_case`
+refuses a pair outside a method's cases by one rule.  Each public entry
 point that takes a pair decides it once (a method's precondition, the
 dispatching ``midpoint``, the oracle, :func:`geodesic_of`) and hands the
 :class:`PairKind` on, so :func:`geodesic_carrier` takes it instead of
@@ -26,8 +27,13 @@ from .errors import (
     BadAngleOrder,
     CollinearWithOrigin,
     DegenerateInput,
+    EqualModuli,
+    GeometryError,
+    MethodInapplicable,
     NotOnArc,
+    NotOnDiameter,
     NotOnUnitCircle,
+    NotVerticallyAligned,
     OutsideDomain,
 )
 from .geom2d import (
@@ -92,6 +98,29 @@ def pair_kind(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) 
     if abs(nx - ny) <= eps:
         return PairKind.EQUAL_MODULI
     return PairKind.GENERIC
+
+
+def case_refusal(model: Model, x: Point2, y: Point2, kind: PairKind, cases: tuple[PairKind, ...]) -> GeometryError:
+    """The typed error for a pair of case ``kind`` given to a method that takes only ``cases``."""
+    if model is Model.HALF_PLANE:
+        if kind is PairKind.LINE:
+            return MethodInapplicable("VerticalCarrier", "x and y share a vertical geodesic; use the vertical case")
+        return NotVerticallyAligned(f"x1 differs: {x.x1!r} vs {y.x1!r}")
+    if kind is PairKind.LINE:
+        return CollinearWithOrigin(f"0, {x}, {y} are collinear")
+    if PairKind.LINE in cases:
+        return NotOnDiameter(f"0, {x}, {y} are not collinear")
+    if kind is PairKind.GENERIC:
+        return MethodInapplicable("ModuliDiffer", f"|x| != |y| ({x.norm()!r} vs {y.norm()!r})")
+    return EqualModuli(f"|x| = |y| = {x.norm()!r}; the bisector circle degenerates")
+
+
+def require_case(model: Model, x: Point2, y: Point2, cases: tuple[PairKind, ...], tol: Tolerance = DEFAULT_TOL) -> PairKind:
+    """A method's precondition: the pair's case if it is among ``cases``, else its :func:`case_refusal`."""
+    kind = pair_kind(model, x, y, tol)
+    if kind not in cases:
+        raise case_refusal(model, x, y, kind, cases)
+    return kind
 
 
 def rho_halfplane(x: Point2, y: Point2) -> float:
@@ -314,12 +343,10 @@ def midpoint_disk_angles(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> 
     With F the arc coordinate of :func:`rho_disk_arc`, the midpoint angle
     solves F(delta) = (F(alpha) + F(beta)) / 2, i.e.
     tan(delta/2) = (C - 1) / (A (C + 1)), C = exp((F(alpha)+F(beta))/2).
+    Raises :class:`CollinearWithOrigin` if 0, x, y are collinear.
     """
     require_in_domain(Model.DISK, x, y)
-    try:
-        ortho = ortho_circle_through(x, y, tol)
-    except CollinearWithOrigin as exc:
-        raise DegenerateInput(str(exc)) from exc
+    ortho = ortho_circle_through(x, y, tol)
     big_a = math.sqrt(1.0 + ortho.r_a * ortho.r_a) + ortho.r_a
     alpha = signed_arc_angle(x, ortho)
     beta = signed_arc_angle(y, ortho)

@@ -27,6 +27,21 @@ def run(capsys, *argv):
 NEGATIVE_FIRST = [("-0.5,0.2", "0.1,0.3"), ("0.5,0.2", "-0.1,-0.3")]
 
 
+# a method asked for a pair outside its case: (model, method, x, y, refusal, auto's method id)
+GENERIC_B2, EQUAL_B2, DIAMETER_B2 = ("0.5,0", "0,0.25"), ("0.5,0.1", "0.1,0.5"), ("0.5,0", "-0.25,0")
+MISMATCHES = [
+    ("b2", "case1", *GENERIC_B2, "NotOnDiameter", "b2-I"),
+    ("b2", "case1", *EQUAL_B2, "NotOnDiameter", "b2-equal-moduli"),
+    ("b2", "I", *DIAMETER_B2, "CollinearWithOrigin", "b2-case1"),
+    ("b2", "equal", *DIAMETER_B2, "CollinearWithOrigin", "b2-case1"),
+    ("b2", "angles", *DIAMETER_B2, "CollinearWithOrigin", "b2-case1"),
+    ("b2", "equal", *GENERIC_B2, "ModuliDiffer", "b2-I"),
+    ("b2", "I", *EQUAL_B2, "EqualModuli", "b2-equal-moduli"),
+    ("h2", "case1", "0,1", "1,2", "NotVerticallyAligned", "h2-III"),
+    ("h2", "III", "0,1", "0,4", "VerticalCarrier", "h2-case1"),
+]
+
+
 def corpus_path(name: str) -> str:
     return str(resources.files("hypmid") / "corpus" / name)
 
@@ -55,6 +70,18 @@ class TestMidpoint:
         payload = json.loads(out)
         assert payload["reason"] == "EqualModuli"
         assert "fallback" in payload
+
+    @pytest.mark.parametrize(
+        "model, method, x, y, reason, auto_id", MISMATCHES, ids=[f"{m[0]}-{m[1]}-{m[4]}" for m in MISMATCHES]
+    )
+    def test_method_outside_its_case_exits_2(self, capsys, model, method, x, y, reason, auto_id):
+        code, out, err = run(capsys, "midpoint", "--model", model, "--x", x, "--y", y, "--method", method)
+        assert code == 2, err
+        payload = json.loads(out)
+        assert payload["error"] == "MethodInapplicable" and payload["reason"] == reason
+        assert payload["fallback"]["method"] == auto_id
+        _, auto_out, _ = run(capsys, "midpoint", "--model", model, "--x", x, "--y", y)
+        assert payload["fallback"] == {**json.loads(auto_out), "requested_method": method}
 
     def test_usage_error_exit_64(self, capsys):
         code, _, err = run(capsys, "midpoint", "--model", "h2", "--x", "0,1")
@@ -259,6 +286,15 @@ class TestRender:
             "--method", "I", "--out", str(tmp_path / "z.svg"),
         )
         assert code == 2
+
+    def test_case1_on_generic_pair_exit_2(self, capsys, tmp_path):
+        out = tmp_path / "z.svg"
+        code, _, err = run(
+            capsys, "render", "--model", "b2", "--x", "0.5,0", "--y", "0,0.25", "--method", "case1", "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith("method inapplicable: NotOnDiameter: ")
+        assert not out.exists()
 
 
 def test_tolerance_env_override(monkeypatch):

@@ -21,7 +21,7 @@ from hypmid.constructions import (
     scale_sequence,
 )
 from hypmid import hypmetric, script
-from hypmid.constructions import disk, dispatch
+from hypmid.constructions import dispatch
 from hypmid.constructions.reports import lemma46_report
 from hypmid.constructions.trace import OPS, replay
 from hypmid.errors import (
@@ -322,9 +322,9 @@ CASE_SPLIT = {
 CASE_METHOD = {
     Model.HALF_PLANE: {"line": ("case1", h2_case1), "generic": ("III", h2_method_III)},
     Model.DISK: {
-        "line": ("b2_case1", b2_case1),
-        "equal": ("b2_equal_moduli", b2_equal_moduli),
-        "generic": ("b2_method_I", b2_method_I),
+        "line": ("case1", b2_case1),
+        "equal": ("equal", b2_equal_moduli),
+        "generic": ("I", b2_method_I),
     },
 }
 
@@ -361,10 +361,7 @@ def test_case_split_boundaries(case, monkeypatch):
         return run
 
     for kind, (name, _) in methods.items():
-        if model is Model.HALF_PLANE:
-            monkeypatch.setitem(dispatch.H2_METHODS, name, spy(kind))
-        else:
-            monkeypatch.setattr(disk, name, spy(kind))
+        monkeypatch.setitem(dispatch.METHODS[model], name, spy(kind))
     if config == "coincident":
         with pytest.raises(DegenerateInput) as err:
             midpoint(model, x, y)

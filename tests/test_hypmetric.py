@@ -240,8 +240,9 @@ class TestDiskAngleMidpoint:
         assert (z - zo).norm() <= 1e-9
 
     def test_collinear_rejected(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(CollinearWithOrigin) as err:
             midpoint_disk_angles(Point2(0.2, 0), Point2(0.6, 0))
+        assert err.type is CollinearWithOrigin
 
     def test_oracle_agreement_sweep(self):
         rng = random.Random(23)

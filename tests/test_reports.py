@@ -98,6 +98,25 @@ class TestLemma46:
         assert worst <= 1e-9
 
 
+DIAMETER_PAIR = (Point2(0.5, 0.0), Point2(-0.25, 0.0))
+EQUAL_MODULI_PAIR = (Point2(0.5, 0.1), Point2(0.1, 0.5))
+
+
+@pytest.mark.parametrize(
+    "report, pair, error",
+    [
+        (prop47_report, DIAMETER_PAIR, CollinearWithOrigin),
+        (prop47_report, EQUAL_MODULI_PAIR, EqualModuli),
+        (lemma46_report, DIAMETER_PAIR, CollinearWithOrigin),
+    ],
+    ids=["prop47-diameter", "prop47-equal-moduli", "lemma46-diameter"],
+)
+def test_report_refuses_pair_outside_its_case(report, pair, error):
+    with pytest.raises(error) as err:
+        report(*pair)
+    assert err.type is error
+
+
 class TestProp47:
     def test_generic_collinearity(self):
         report = prop47_report(Point2(0.5, 0.1), Point2(0.15, 0.4))
@@ -147,6 +166,11 @@ class TestProp48:
     def test_collinear_rejected(self):
         with pytest.raises(CollinearWithOrigin):
             prop48_orthogonality(Point2(0.5, 0), Point2(0.2, 0))
+
+    def test_equal_moduli_accepted(self):
+        chk = prop48_orthogonality(*EQUAL_MODULI_PAIR)
+        assert chk.criterion_residual == pytest.approx(0.1 / 0.26 - 0.26, abs=1e-12)  # x.y / (|x||y|) - |x||y|
+        assert (chk.criterion_residual > 0) == (chk.orthogonality_residual > 0)
 
 
 def test_semicircle_partner_respects_modulus():

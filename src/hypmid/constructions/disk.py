@@ -23,8 +23,9 @@ from .trace import ConstructionTrace, MidpointResult, TraceBuilder, make_midpoin
 
 UNIT_CIRCLE = Circle2(ORIGIN, 1.0)
 
-# auxiliary point of each chord method: (label, endpoint names of the two chords)
-_METHOD_CHORDS = {
+# auxiliary point of each chord method: (label, endpoint names of the two chords);
+# reports.lemma46_report draws the same five points
+METHOD_CHORDS = {
     "II": ("u", ("x", "ysup"), ("y", "xsup")),
     "III": ("v", ("x", "xsub"), ("y", "ysub")),
     "IV": ("s", ("x", "ysub"), ("y", "xsub")),
@@ -99,7 +100,7 @@ def b2_method_I(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointR
     try:
         b.step("intersect", "Lxy", "Lsup", name="w", select=nearest_to(x))
     except ParallelLines as exc:
-        raise MethodInapplicable("EqualModuli", f"chords of method I are parallel: {exc}") from exc
+        raise MethodInapplicable("ParallelLines", f"chords of method I are parallel: {exc}") from exc
     b.step("circle_diameter", "w", "origin", name="Cth", label="Thales circle on [w,0]")
     b.step("intersect", "Cth", "unit", name="ptan", label="tangency point", select=nearest_to(x))
     b.step("circle", "w", "ptan", name="Cw", label="S¹(w,r_w)")
@@ -113,10 +114,10 @@ def b2_methods_II_to_VI(x: Point2, y: Point2, which: str, tol: Tolerance = DEFAU
     g is u, v, s, t or k, the intersection of two chords among x, y, the
     ideal points x_*, y_* and the inversion points x^*, y^*.
     """
-    if which not in _METHOD_CHORDS:
-        raise ValueError(f"method must be one of {sorted(_METHOD_CHORDS)}, got {which!r}")
+    if which not in METHOD_CHORDS:
+        raise ValueError(f"method must be one of {sorted(METHOD_CHORDS)}, got {which!r}")
     require_case(Model.DISK, x, y, (PairKind.GENERIC,), tol)
-    label, (p1, q1), (p2, q2) = _METHOD_CHORDS[which]
+    label, (p1, q1), (p2, q2) = METHOD_CHORDS[which]
     b = _builder(f"b2-{which}", x, y, tol)
     needed = {p1, q1, p2, q2}
     if "xsup" in needed:

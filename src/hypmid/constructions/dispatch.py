@@ -4,7 +4,9 @@
 pair's case once, with :func:`~hypmid.hypmetric.pair_kind`; ``auto`` runs the
 method :data:`AUTO_METHOD` names for it.  An explicit method that does not
 take the case raises :class:`MethodInapplicable` with the case's
-:func:`~hypmid.hypmetric.case_refusal` and auto's result as the fallback.
+:func:`~hypmid.hypmetric.case_refusal`.  Every :class:`MethodInapplicable` of
+an explicit method, whether a case mismatch or a refusal the method raises
+itself, carries auto's result as the fallback, or none if auto fails too.
 Every result carries its Euclidean distance to the closed-form oracle.
 """
 
@@ -88,6 +90,7 @@ def midpoint(
     :meth:`MidpointResult.oracle_disagrees` for when that marks a disagreement.
     """
     kind = pair_kind(model, x, y, tol)
+    requested = method
     if method == "auto":
         method = AUTO_METHOD[model][kind]
     table = METHODS[model]
@@ -95,13 +98,17 @@ def midpoint(
     if run is None:
         raise ValueError(f"unknown {model.value} method {method!r}; expected one of auto, {', '.join(table)}")
     cases = _CASES.get(method, _GENERIC)
-    if kind not in cases:
-        refusal = case_refusal(model, x, y, kind, cases)
-        try:
-            fallback = midpoint(model, x, y, "auto", tol)
-        except GeometryError:
-            fallback = None
-        reason = refusal.reason if isinstance(refusal, MethodInapplicable) else type(refusal).__name__
-        raise MethodInapplicable(reason, str(refusal), fallback=fallback) from refusal
-    result = run(x, y, tol)
+    try:
+        if kind not in cases:
+            refusal = case_refusal(model, x, y, kind, cases)
+            reason = refusal.reason if isinstance(refusal, MethodInapplicable) else type(refusal).__name__
+            raise MethodInapplicable(reason, str(refusal)) from refusal
+        result = run(x, y, tol)
+    except MethodInapplicable as exc:
+        if requested != "auto":
+            try:
+                exc.fallback = midpoint(model, x, y, "auto", tol)
+            except GeometryError:
+                pass  # auto refuses the pair too: no fallback
+        raise
     return result._replace(oracle_distance=(result.z - midpoint_oracle(model, x, y, tol)).norm())

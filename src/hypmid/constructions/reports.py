@@ -1,9 +1,11 @@
-"""Per-lemma diagnostic verifiers: every stated claim becomes a residual.
+"""Per-lemma diagnostics: every stated claim becomes a residual.
 
 Each report evaluates all claims of one lemma/proposition on a concrete
-input and returns scale-normalized residuals.  Claims that only hold under a
-side condition (the semicircle case of the circumcircle proposition) are
-marked ``condition_not_met`` when the condition fails, instead of failing.
+input and returns a dict from claim name to its signed, scale-normalized
+residual.  A claim that only holds under a side condition (the semicircle
+case of the circumcircle proposition) maps to ``None`` when the condition
+fails.  The reports judge nothing: :mod:`hypmid.sweeps` is the only place
+that compares a residual with a threshold.
 """
 
 from __future__ import annotations
@@ -44,39 +46,7 @@ from ..hypmetric import (
     rho_halfplane,
 )
 from ..moebius import absolute_ratio
-from .disk import UNIT_CIRCLE, bisector_circle
-
-PASS = "pass"
-FAIL = "fail"
-CONDITION_NOT_MET = "condition_not_met"
-
-
-class Claim(NamedTuple):
-    residual: float | None
-    status: str
-
-
-class DiagnosticsReport(NamedTuple):
-    name: str
-    claims: dict[str, Claim]
-    threshold: float
-
-    def max_residual(self) -> float:
-        vals = [abs(c.residual) for c in self.claims.values() if c.residual is not None]
-        return max(vals) if vals else 0.0
-
-    def all_pass(self) -> bool:
-        return all(c.status != FAIL for c in self.claims.values())
-
-
-def _report(name: str, residuals: dict[str, float | None], threshold: float) -> DiagnosticsReport:
-    claims = {}
-    for key, res in residuals.items():
-        if res is None:
-            claims[key] = Claim(None, CONDITION_NOT_MET)
-        else:
-            claims[key] = Claim(res, PASS if abs(res) <= threshold else FAIL)
-    return DiagnosticsReport(name, claims, threshold)
+from .disk import METHOD_CHORDS, UNIT_CIRCLE, bisector_circle
 
 
 def _dot_identity(p: Point2, q: Point2) -> float:
@@ -94,7 +64,7 @@ def _orthocenter(a: Point2, b: Point2, c: Point2, tol: Tolerance) -> Point2:
     return intersect_line_line(alt_a, alt_b, tol)
 
 
-def lemma31_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> DiagnosticsReport:
+def lemma31_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> dict[str, float | None]:
     """All half-plane claims on the unit carrier for x, y on S1 in H2.
 
     Covers the tangency/verticality/angle claims about the midpoint, the
@@ -165,10 +135,10 @@ def lemma31_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Diagno
     p = _orthocenter(v, xst, yst, tol)
     res["orthocenter on S1(a,r_a)"] = is_on(p, sa, tol).residual
     res["z equal rho"] = rho_halfplane(x, z) - rho_halfplane(z, y)
-    return _report("lemma-3.1/prop-3.2", res, tol.eps_incidence)
+    return res
 
 
-def lemma46_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> DiagnosticsReport:
+def lemma46_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> dict[str, float | None]:
     """Disk bisector-circle claims plus the shared-line and inversion-pair claims."""
     w, r_w = bisector_circle(x, y, tol)  # refuses all but a generic pair
     ortho = ortho_circle_through(x, y, tol)
@@ -186,20 +156,22 @@ def lemma46_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Diagno
         "S1(w,r_w) orth S1(a,r_a)": circles_orthogonal(sw, sa, tol).residual,
         "z equal rho": rho_disk(x, z) - rho_disk(z, y),
     }
-    v = intersect_line_line(line_through(x, xsub, tol), line_through(y, ysub, tol), tol)
-    s = intersect_line_line(line_through(x, ysub, tol), line_through(y, xsub, tol), tol)
-    t = intersect_line_line(line_through(xsub, ysup, tol), line_through(ysub, xsup, tol), tol)
-    k = intersect_line_line(line_through(xsub, xsup, tol), line_through(ysub, ysup, tol), tol)
-    u = (y * (1.0 - x.norm_sq()) + x * (1.0 - y.norm_sq())) * (1.0 / (1.0 - x.norm_sq() * y.norm_sq()))
-    for name, pt in (("v", v), ("s", s), ("t", t), ("k", k), ("u", u)):
+    # the auxiliary points of chord methods II-VI; method II's drawn u is checked against u's closed form
+    ends = {"x": x, "y": y, "xsub": xsub, "ysub": ysub, "xsup": xsup, "ysup": ysup}
+    aux = {
+        label: intersect_line_line(line_through(ends[p1], ends[q1], tol), line_through(ends[p2], ends[q2], tol), tol)
+        for label, (p1, q1), (p2, q2) in METHOD_CHORDS.values()
+    }
+    u_c = aux.pop("u")
+    u = aux["u"] = (y * (1.0 - x.norm_sq()) + x * (1.0 - y.norm_sq())) * (1.0 / (1.0 - x.norm_sq() * y.norm_sq()))
+    for name, pt in aux.items():
         res[f"{name} on L(0,z)"] = _point_on_line(pt, lz)
     res["u on L(x_*,y_*)"] = _point_on_line(u, line_through(xsub, ysub, tol))
-    u_c = intersect_line_line(line_through(x, ysup, tol), line_through(y, xsup, tol), tol)
     res["u=L(x,y^*)^L(y,x^*)"] = (u_c - u).norm() / (1.0 + u.norm())
     for name, (p, q) in (("x,y", (x, y)), ("x_*,y_*", (xsub, ysub)), ("x^*,y^*", (xsup, ysup))):
         res[f"inversion pair {name}"] = ((p - w).norm() * (q - w).norm() - r_w * r_w) / (r_w * r_w)
         res[f"{name} collinear with w"] = (p - w).cross(q - w) / (1.0 + (p - w).norm() * (q - w).norm())
-    return _report("lemma-4.6/remark-4.9", res, tol.eps_incidence)
+    return res
 
 
 def semicircle_residual(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -213,7 +185,7 @@ def semicircle_residual(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> f
     return (x - xsup).dot(x - ysup)
 
 
-def prop47_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> DiagnosticsReport:
+def prop47_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> dict[str, float | None]:
     """Circumcircle claims: collinearity always; midpoint/orthogonality/ratio
     equality only when the arc x^*, x, y, y^* is a semicircle."""
     require_case(Model.DISK, x, y, (PairKind.GENERIC,), tol)
@@ -250,13 +222,12 @@ def prop47_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Diagnos
     else:
         for key in ("S1(c,r_c) through 0,x,y", "z equal rho", "S1(c,r_c) orth S1(a,r_a)", "|z,x,x^*,z'|=|z,y,y^*,z'|"):
             res[key] = None
-    return _report("prop-4.7", res, tol.eps_incidence)
+    return res
 
 
 class OrthogonalityCheck(NamedTuple):
-    """Outcome of the two-circle orthogonality criterion at fixed x, y."""
+    """The two signed residuals of the two-circle orthogonality criterion at fixed x, y."""
 
-    orthogonal: bool
     criterion_residual: float
     orthogonality_residual: float
 
@@ -265,16 +236,15 @@ def prop48_orthogonality(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> 
     """Compare orthogonality of S(x^*, t_x), S(y^*, t_y) with cos(angle) = |x||y|.
 
     t_x = sqrt(1/|x|^2 - 1) makes 0 and x inversion points of S(x^*, t_x).
-    Both residuals are signed and share their sign, so the predicate flips
-    exactly where the cosine criterion changes sign.
+    Both residuals are signed and share their sign, so the orthogonality
+    residual changes sign exactly where the cosine criterion does.
     """
     require_case(Model.DISK, x, y, (PairKind.GENERIC, PairKind.EQUAL_MODULI), tol)
     nx, ny = x.norm(), y.norm()
     cx = Circle2(invert_unit(x, tol), math.sqrt(1.0 / x.norm_sq() - 1.0))
     cy = Circle2(invert_unit(y, tol), math.sqrt(1.0 / y.norm_sq() - 1.0))
-    verdict = circles_orthogonal(cx, cy, tol)
     criterion = x.dot(y) / (nx * ny) - nx * ny
     # sign-aligned with the criterion: t_x^2 + t_y^2 - d^2 = 2 criterion / (|x||y|)
     d2 = (cx.center - cy.center).norm_sq()
     aligned = (cx.radius**2 + cy.radius**2 - d2) / (1.0 + d2 + cx.radius**2 + cy.radius**2)
-    return OrthogonalityCheck(verdict.ok, criterion, aligned)
+    return OrthogonalityCheck(criterion, aligned)

@@ -142,26 +142,24 @@ def _as_point(value) -> Point2:
     raise GeometryError(f"expected a point (or circle center), got {type(value).__name__}")
 
 
+def _as_carrier(value, types, expected: str):
+    # a geodesic stands for its carrier
+    value = value.carrier if isinstance(value, Geodesic) else value
+    if not isinstance(value, types):
+        raise GeometryError(f"expected {expected}, got {type(value).__name__}")
+    return value
+
+
 def _as_curve(value):
-    if isinstance(value, (Line2, Circle2)):
-        return value
-    if isinstance(value, Geodesic):
-        return value.carrier
-    raise GeometryError(f"expected a line, circle or geodesic, got {type(value).__name__}")
+    return _as_carrier(value, (Line2, Circle2), "a line, circle or geodesic")
 
 
 def _as_line(value) -> Line2:
-    value = _as_curve(value)
-    if not isinstance(value, Line2):
-        raise GeometryError(f"expected a line, got {type(value).__name__}")
-    return value
+    return _as_carrier(value, Line2, "a line")
 
 
 def _as_circle(value) -> Circle2:
-    value = _as_curve(value)
-    if not isinstance(value, Circle2):
-        raise GeometryError(f"expected a circle, got {type(value).__name__}")
-    return value
+    return _as_carrier(value, Circle2, "a circle")
 
 
 def _as_radius(value):

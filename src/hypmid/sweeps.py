@@ -1,8 +1,11 @@
 """Seeded randomized verification sweeps over all lemma/proposition claims.
 
 Each check runs a deterministic sample sweep (same seed, same report) and
-returns the worst residual against its threshold.  The acceptance suite and
-the ``verify`` CLI command are both thin wrappers over :func:`run_suite`.
+returns the worst residual against its threshold.  This is the only place a
+claim is judged: the reports of :mod:`hypmid.constructions.reports` return
+residuals by claim, and the checks compare them with ``IDENTITY_TOL``,
+``RATIO_TOL`` or the configured agreement tolerance.  The acceptance suite
+and the ``verify`` CLI command are both thin wrappers over :func:`run_suite`.
 """
 
 from __future__ import annotations
@@ -48,16 +51,18 @@ from .hypmetric import (
 IDENTITY_TOL = 1e-9
 RATIO_TOL = 1e-7
 
+# the admissible disk pairs the sweeps sample
+MAX_MODULUS = 0.95
+MIN_SEPARATION = 1e-3
+MIN_GAP = 1e-3  # lower bound on ||x| - |y||
+MIN_MARGIN = 1e-3  # noncollinearity margin |sin(angle at 0)|
+
 
 class SweepConfig(NamedTuple):
     """Sampling plan for a verification sweep; identical seeds give identical reports."""
 
     samples: int = 1000
     seed: int = 42
-    max_modulus: float = 0.95
-    min_separation: float = 1e-3
-    min_gap: float = 1e-3  # lower bound on ||x| - |y||
-    min_margin: float = 1e-3  # noncollinearity margin |sin(angle at 0)|
     tolerance: float = AGREEMENT_TOL
 
 
@@ -98,22 +103,22 @@ def _spread(points: list[Point2]) -> float:
 # samplers
 
 
-def sample_disk_point(rng: random.Random, cfg: SweepConfig) -> Point2:
-    r = rng.uniform(0.05, cfg.max_modulus)
+def sample_disk_point(rng: random.Random) -> Point2:
+    r = rng.uniform(0.05, MAX_MODULUS)
     th = rng.uniform(0.0, math.tau)
     return Point2(r * math.cos(th), r * math.sin(th))
 
 
-def sample_disk_pair(rng: random.Random, cfg: SweepConfig) -> tuple[Point2, Point2]:
+def sample_disk_pair(rng: random.Random) -> tuple[Point2, Point2]:
     """Admissible disk pair: bounded moduli, modulus gap, noncollinearity margin."""
     while True:
-        x = sample_disk_point(rng, cfg)
-        y = sample_disk_point(rng, cfg)
-        if (x - y).norm() < cfg.min_separation:
+        x = sample_disk_point(rng)
+        y = sample_disk_point(rng)
+        if (x - y).norm() < MIN_SEPARATION:
             continue
-        if abs(x.norm() - y.norm()) < cfg.min_gap:
+        if abs(x.norm() - y.norm()) < MIN_GAP:
             continue
-        if abs(x.cross(y)) / (x.norm() * y.norm()) < cfg.min_margin:
+        if abs(x.cross(y)) / (x.norm() * y.norm()) < MIN_MARGIN:
             continue
         return x, y
 
@@ -154,13 +159,13 @@ def check_metric_agreement(model: Model, cfg: SweepConfig, tol: Tolerance = DEFA
         if model is Model.HALF_PLANE:
             x = Point2(rng.uniform(-3.0, 3.0), rng.uniform(0.05, 3.0))
             y = Point2(rng.uniform(-3.0, 3.0), rng.uniform(0.05, 3.0))
-            if (x - y).norm() < cfg.min_separation:
+            if (x - y).norm() < MIN_SEPARATION:
                 continue
             closed = rho_halfplane(x, y)
         else:
-            x = sample_disk_point(rng, cfg)
-            y = sample_disk_point(rng, cfg)
-            if (x - y).norm() < cfg.min_separation:
+            x = sample_disk_point(rng)
+            y = sample_disk_point(rng)
+            if (x - y).norm() < MIN_SEPARATION:
                 continue
             closed = rho_disk(x, y)
         via = rho_via_cross_ratio(model, x, y, tol)
@@ -203,9 +208,8 @@ def check_h2_identities(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list[
         x, y, o, r = sample_h2_carrier_pair(rng)
         xu = (x - o) * (1.0 / r)
         yu = (y - o) * (1.0 / r)
-        report = lemma31_report(xu, yu, tol)
-        for key, claim in report.claims.items():
-            worst[key] = _worse(worst.get(key, 0.0), abs(claim.residual))
+        for key, residual in lemma31_report(xu, yu, tol).items():
+            worst[key] = _worse(worst.get(key, 0.0), abs(residual))
     return [
         _result(f"lemma 3.1/prop 3.2: {key}", cfg.samples, value, IDENTITY_TOL)
         for key, value in sorted(worst.items())
@@ -219,7 +223,7 @@ def check_b2_concurrency(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list
     worst_rho = 0.0
     worst_collinear = 0.0
     for _ in range(cfg.samples):
-        x, y = sample_disk_pair(rng, cfg)
+        x, y = sample_disk_pair(rng)
         candidates = [midpoint_oracle(Model.DISK, x, y, tol), midpoint_disk_angles(x, y, tol)]
         res = b2_method_I(x, y, tol)
         candidates.append(res.z)
@@ -244,10 +248,9 @@ def check_b2_identities(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list[
     rng = random.Random(cfg.seed)
     worst: dict[str, float] = {}
     for _ in range(cfg.samples):
-        x, y = sample_disk_pair(rng, cfg)
-        report = lemma46_report(x, y, tol)
-        for key, claim in report.claims.items():
-            worst[key] = _worse(worst.get(key, 0.0), abs(claim.residual))
+        x, y = sample_disk_pair(rng)
+        for key, residual in lemma46_report(x, y, tol).items():
+            worst[key] = _worse(worst.get(key, 0.0), abs(residual))
     return [
         _result(f"lemma 4.6/remark 4.9: {key}", cfg.samples, value, IDENTITY_TOL)
         for key, value in sorted(worst.items())
@@ -347,16 +350,16 @@ def check_prop47(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL, semicircle_case
     rng = random.Random(cfg.seed)
     worst_col = 0.0
     for _ in range(cfg.samples):
-        x, y = sample_disk_pair(rng, cfg)
+        x, y = sample_disk_pair(rng)
         report = prop47_report(x, y, tol)
-        worst_col = _worse(worst_col, abs(report.claims["0,b,d collinear"].residual))
-        worst_col = _worse(worst_col, abs(report.claims["0,b',d' collinear"].residual))
+        worst_col = _worse(worst_col, abs(report["0,b,d collinear"]))
+        worst_col = _worse(worst_col, abs(report["0,b',d' collinear"]))
     worst_ratio = 0.0
     found = 0
     while found < semicircle_cases:
         r1 = rng.uniform(0.15, 0.7)
         r2 = rng.uniform(0.15, 0.7)
-        if abs(r1 - r2) < cfg.min_gap:
+        if abs(r1 - r2) < MIN_GAP:
             continue
         th = rng.uniform(0.0, math.tau)
         x = Point2(r1 * math.cos(th), r1 * math.sin(th))
@@ -367,13 +370,13 @@ def check_prop47(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL, semicircle_case
             report = prop47_report(x, y, tol)
         except GeometryError:
             continue
-        claim = report.claims["|z,x,x^*,z'|=|z,y,y^*,z'|"]
-        if claim.residual is None:
+        ratio = report["|z,x,x^*,z'|=|z,y,y^*,z'|"]
+        if ratio is None:
             continue
         found += 1
-        worst_ratio = _worse(worst_ratio, abs(claim.residual))
-        worst_ratio = _worse(worst_ratio, abs(report.claims["z equal rho"].residual))
-        worst_ratio = _worse(worst_ratio, abs(report.claims["S1(c,r_c) orth S1(a,r_a)"].residual))
+        worst_ratio = _worse(worst_ratio, abs(ratio))
+        worst_ratio = _worse(worst_ratio, abs(report["z equal rho"]))
+        worst_ratio = _worse(worst_ratio, abs(report["S1(c,r_c) orth S1(a,r_a)"]))
     return [
         _result("prop 4.7 collinearity of 0,b,d and 0,b',d'", cfg.samples, worst_col, IDENTITY_TOL),
         _result("prop 4.7 semicircle case (midpoint/orthogonality/ratio)", semicircle_cases, worst_ratio, RATIO_TOL),
@@ -414,11 +417,11 @@ def check_case1_constructions(
             res = b2_case1(x, y, tol)
             worst_b2 = _worse(worst_b2, (res.z - midpoint_oracle(Model.DISK, x, y, tol)).norm())
 
-        r = rng.uniform(0.1, cfg.max_modulus)
+        r = rng.uniform(0.1, MAX_MODULUS)
         a1 = rng.uniform(0.0, math.tau)
         a2 = a1 + rng.uniform(0.1, 2.0)
         x, y = Point2(r * math.cos(a1), r * math.sin(a1)), Point2(r * math.cos(a2), r * math.sin(a2))
-        if run_b2 and abs(x.cross(y)) / (x.norm() * y.norm()) >= cfg.min_margin:
+        if run_b2 and abs(x.cross(y)) / (x.norm() * y.norm()) >= MIN_MARGIN:
             res = b2_equal_moduli(x, y, tol)
             worst_eq = _worse(worst_eq, (res.z - midpoint_oracle(Model.DISK, x, y, tol)).norm())
     results = []

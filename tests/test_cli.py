@@ -27,7 +27,8 @@ def run(capsys, *argv):
 NEGATIVE_FIRST = [("-0.5,0.2", "0.1,0.3"), ("0.5,0.2", "-0.1,-0.3")]
 
 
-# a method asked for a pair outside its case: (model, method, x, y, refusal, auto's method id)
+# a method asked for a pair it refuses, outside its case or (last) by a refusal the method raises itself:
+# (model, method, x, y, refusal, auto's method id)
 GENERIC_B2, EQUAL_B2, DIAMETER_B2 = ("0.5,0", "0,0.25"), ("0.5,0.1", "0.1,0.5"), ("0.5,0", "-0.25,0")
 MISMATCHES = [
     ("b2", "case1", *GENERIC_B2, "NotOnDiameter", "b2-I"),
@@ -39,7 +40,11 @@ MISMATCHES = [
     ("b2", "I", *EQUAL_B2, "EqualModuli", "b2-equal-moduli"),
     ("h2", "case1", "0,1", "1,2", "NotVerticallyAligned", "h2-III"),
     ("h2", "III", "0,1", "0,4", "VerticalCarrier", "h2-case1"),
+    ("h2", "I", "0,1", "1,1", "ParallelChord", "h2-III"),  # L(x,y) parallel to the boundary
 ]
+
+# a generic b2 pair on which method I's chords L(x,y), L(x^*,y^*) are parallel
+PARALLEL_CHORDS_B2 = ("--x", "0.5,0", "--y", "-0.4711111703357424,0.16749407507845504")
 
 
 def corpus_path(name: str) -> str:
@@ -82,6 +87,15 @@ class TestMidpoint:
         assert payload["fallback"]["method"] == auto_id
         _, auto_out, _ = run(capsys, "midpoint", "--model", model, "--x", x, "--y", y)
         assert payload["fallback"] == {**json.loads(auto_out), "requested_method": method}
+
+    def test_refusal_without_fallback_when_auto_refuses_too(self, capsys):
+        # moduli 1.5e-12 apart: a generic pair whose method I chords are parallel, and auto routes to I
+        code, out, err = run(capsys, "midpoint", "--model", "b2", *PARALLEL_CHORDS_B2, "--method", "I")
+        assert code == 2, err
+        payload = json.loads(out)
+        assert payload["reason"] == "ParallelLines"
+        assert "fallback" not in payload
+        assert run(capsys, "midpoint", "--model", "b2", *PARALLEL_CHORDS_B2, "--method", "II")[0] == 0
 
     def test_usage_error_exit_64(self, capsys):
         code, _, err = run(capsys, "midpoint", "--model", "h2", "--x", "0,1")
@@ -158,6 +172,29 @@ class TestScript:
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
         assert "z =" in out
+
+    def test_run_outputs_circle_line_and_geodesics(self, capsys, tmp_path):
+        src = tmp_path / "curves.hgc"
+        src.write_text(
+            "point x = (0.5, 1.0)\npoint y = (1.5, 2.0)\ncircle C = circle(x, 0.5)\nline L = line(x, y)\n"
+            "geodesic G = geodesic(h2, x, y)\ngeodesic V = geodesic(h2, x, (0.5, 3.0))\n"
+            "output C\noutput L\noutput G\noutput V\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "script", "run", str(src))
+        assert code == 0, err
+        values = {}
+        for line in out.splitlines():
+            name, _, text = line.partition(" = ")
+            values[name] = json.loads(text)
+        assert values["C"] == {"center": [0.5, 1.0], "radius": 0.5}
+        # G's carrier is the circle about (2.5, 0) through x, V's the vertical line x1 = 0.5
+        assert values["G"] == {"center": [pytest.approx(2.5, abs=1e-12), 0.0], "radius": pytest.approx(math.sqrt(5.0))}
+        for name, normal, point in (("L", (1.0, -1.0), (1.5, 2.0)), ("V", (1.0, 0.0), (0.5, 3.0))):
+            assert set(values[name]) == {"normal", "offset"}
+            n, c = values[name]["normal"], values[name]["offset"]
+            assert abs(n[0] * normal[1] - n[1] * normal[0]) <= 1e-12 and math.hypot(*n) == pytest.approx(1.0)
+            assert n[0] * point[0] + n[1] * point[1] == pytest.approx(c, abs=1e-12)
 
     def test_run_with_bind(self, capsys):
         code, out, _ = run(
@@ -243,6 +280,15 @@ class TestRender:
         code, _, _ = run(capsys, "render", "--script", corpus_path("b2_case1.hgc"), "--out", str(out))
         assert code == 0
         assert out.exists()
+
+    def test_render_h2_script_draws_its_geodesic(self, capsys, tmp_path):
+        from hypmid.render import DEFAULT_STYLES
+
+        out = tmp_path / "g.svg"
+        code, _, err = run(capsys, "render", "--script", corpus_path("h2_method_iii.hgc"), "--out", str(out))
+        assert code == 0, err
+        # G is the script's only carrier: a geodesic is drawn as its carrier circle
+        assert out.read_text(encoding="utf-8").count(f'style="{DEFAULT_STYLES["carrier"]}"') == 1
 
     def test_script_with_failing_assertion(self, capsys, tmp_path):
         src, out = tmp_path / "f.hgc", tmp_path / "f.svg"

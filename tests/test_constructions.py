@@ -36,7 +36,7 @@ from hypmid.errors import (
 )
 from hypmid.geom2d import ORIGIN, Circle2, Point2, invert_in_circle
 from hypmid.hypmetric import Model, midpoint_oracle, rho_disk, rho_halfplane
-from hypmid.sweeps import SweepConfig, sample_disk_pair, sample_h2_carrier_pair
+from hypmid.sweeps import sample_disk_pair, sample_h2_carrier_pair
 
 E30 = Point2(math.cos(math.pi / 6), 0.5)
 TOP = Point2(0.0, 1.0)
@@ -180,6 +180,14 @@ class TestB2Methods:
     def test_mirrored_pair_is_equal_moduli(self):
         with pytest.raises(EqualModuli):
             b2_method_I(Point2(0.5, 0), Point2(0, 0.5))
+
+    def test_method_I_parallel_chords_on_generic_pair(self):
+        # moduli 1.5e-12 apart: generic, yet L(x,y) and L(x^*,y^*) are parallel
+        x, y = Point2(0.5, 0.0), Point2(-0.4711111703357424, 0.16749407507845504)
+        assert hypmetric.pair_kind(Model.DISK, x, y) is hypmetric.PairKind.GENERIC
+        with pytest.raises(MethodInapplicable) as err:
+            b2_method_I(x, y)
+        assert err.value.reason == "ParallelLines"
 
     def test_unknown_method_name(self):
         with pytest.raises(ValueError):
@@ -519,7 +527,7 @@ def _mirror(p: Point2) -> Point2:  # u -> -conj(u), the reflection in the imagin
 
 
 def _b2_generic(rng):
-    return sample_disk_pair(rng, SweepConfig())
+    return sample_disk_pair(rng)
 
 
 def _b2_diameter(rng):

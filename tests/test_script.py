@@ -1,5 +1,6 @@
 """Construction-language contracts: parsing, formatting, evaluation, corpus."""
 
+import math
 import pathlib
 import random
 from importlib import resources
@@ -8,6 +9,7 @@ import pytest
 
 from hypmid import script
 from hypmid.constructions.trace import OPS
+from hypmid.errors import GeometryError
 from hypmid.geom2d import Point2
 from hypmid.hypmetric import Model
 
@@ -164,6 +166,12 @@ class TestEvaluation:
         assert [a.passed for a in result.assertions] == [False, True]
         assert result.outputs  # evaluation continued past the failure
 
+    def test_tolerance_survives_round_trip(self):
+        program = script.parse("point x = (0.5, 0.0)\nassert equals(x, origin)   tol   1e-3\n")
+        text = script.format_program(program)
+        assert text.splitlines()[1] == "assert equals(x, origin) tol 0.001"
+        assert script.parse(text) == program and list(program.statements())[1].tolerance == 1e-3
+
     def test_tolerance_override(self):
         src = "point x = (0.5, 0.0)\npoint y = (0.5, 1e-6)\nassert equals(x, y) tol 0.001\n"
         result = script.evaluate(script.parse(src))
@@ -195,6 +203,45 @@ def test_nested_assertion_is_syntax_error(fn):
     with pytest.raises(script.ScriptSyntaxError) as err:
         script.parse(OP_PRELUDE + statement + "\n")
     assert (err.value.line, err.value.column) == (4, statement.index(call) + 1)
+
+
+# a value of the wrong kind for each argument kind, after OP_PRELUDE: (statement, what the coercion says)
+WRONG_KINDS = [
+    ("line M = line(L, x)", "expected a point (or circle center), got Line2"),
+    ("line M = perp(x, x)", "expected a line, got Point2"),
+    ("line M = perp(C, x)", "expected a line, got Circle2"),
+    ("p = intersect_unit_ortho(x) select upper", "expected a circle, got Point2"),
+    ("p = intersect_radius_ortho(L, L) select in_disk", "expected a circle, got Line2"),
+    ("p = intersect(x, C) select nearest x", "expected a line, circle or geodesic, got Point2"),
+    ("assert on(x, x)", "expected a line, circle or geodesic, got Point2"),
+]
+
+
+@pytest.mark.parametrize("statement, message", WRONG_KINDS, ids=[w[0] for w in WRONG_KINDS])
+def test_argument_of_wrong_kind_is_runtime_error(statement, message):
+    with pytest.raises(script.RuntimeGeometryError) as err:
+        script.evaluate(script.parse(OP_PRELUDE + statement + "\n"))
+    assert (err.value.line, err.value.statement) == (4, statement)
+    assert type(err.value.cause) is GeometryError and str(err.value.cause) == message
+
+
+def test_circle_stands_for_its_center_as_radius_and_anchor():
+    src = (
+        "point x = (0.5, 0.25)\ncircle C = circle(x, 0.1)\nline L = line(x, origin)\n"
+        "circle D = circle(origin, C)\np = intersect(L, unit) select nearest C\n"
+    )
+    got = script.evaluate(script.parse(src)).bindings
+    want = script.evaluate(script.parse(src.replace("(origin, C)", "(origin, x)").replace("nearest C", "nearest x"))).bindings
+    assert got["D"] == want["D"] and got["D"].radius == pytest.approx(math.hypot(0.5, 0.25), abs=1e-15)
+    assert got["p"] == want["p"] and got["p"].x1 > 0.0
+
+
+@pytest.mark.parametrize("line, residual", [("L", 0.0), ("line((0.5, 0.0), (0.5, 1.0))", 0.5 / 1.5)])
+def test_orthogonal_line_and_circle(line, residual):
+    # a line meets a circle orthogonally iff it passes through the center; either argument order
+    result = script.evaluate(script.parse(f"{OP_PRELUDE}assert orthogonal({line}, C)\nassert orthogonal(C, {line})\n"))
+    assert [abs(a.residual) for a in result.assertions] == [pytest.approx(residual, abs=1e-15)] * 2
+    assert [a.passed for a in result.assertions] == [residual == 0.0] * 2
 
 
 def test_circle_stands_for_its_center():

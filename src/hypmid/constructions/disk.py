@@ -94,7 +94,7 @@ def b2_method_I(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointR
     b = _builder("b2-I", x, y, tol)
     b.step("invert", "x", name="xsup", label="x^*")
     b.step("invert", "y", name="ysup", label="y^*")
-    b.step("ortho_circle", "x", "y", name="carrier", label="S¹(a,r_a)")
+    carrier = b.step("ortho_circle", "x", "y", name="carrier", label="S¹(a,r_a)")
     b.step("line", "x", "y", name="Lxy", label="L(x,y)")
     b.step("line", "xsup", "ysup", name="Lsup", label="L(x^*,y^*)")
     try:
@@ -105,7 +105,7 @@ def b2_method_I(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointR
     b.step("intersect", "Cth", "unit", name="ptan", label="tangency point", select=nearest_to(x))
     b.step("circle", "w", "ptan", name="Cw", label="S¹(w,r_w)")
     b.step("intersect", "Cw", "carrier", name="z", select=IN_DISK)
-    return make_midpoint_result(b, x, y, "z", PairKind.GENERIC)
+    return make_midpoint_result(b, x, y, "z", PairKind.GENERIC, carrier)
 
 
 def b2_methods_II_to_VI(x: Point2, y: Point2, which: str, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
@@ -124,7 +124,7 @@ def b2_methods_II_to_VI(x: Point2, y: Point2, which: str, tol: Tolerance = DEFAU
         b.step("invert", "x", name="xsup", label="x^*")
     if "ysup" in needed:
         b.step("invert", "y", name="ysup", label="y^*")
-    b.step("ortho_circle", "x", "y", name="carrier", label="S¹(a,r_a)")
+    carrier = b.step("ortho_circle", "x", "y", name="carrier", label="S¹(a,r_a)")
     if needed & {"xsub", "ysub"}:
         _ideal_endpoint_refs(b, x, y)
     pretty = {"x": "x", "y": "y", "xsub": "x_*", "ysub": "y_*", "xsup": "x^*", "ysup": "y^*"}
@@ -138,7 +138,7 @@ def b2_methods_II_to_VI(x: Point2, y: Point2, which: str, tol: Tolerance = DEFAU
         raise MethodInapplicable("AuxiliaryAtOrigin", f"auxiliary point {label} coincides with 0")
     b.step("line", "origin", "g", name="Lg", label=f"L(0,{label})")
     b.step("intersect_radius_ortho", "Lg", "carrier", name="z", select=IN_DISK)
-    return make_midpoint_result(b, x, y, "z", PairKind.GENERIC)
+    return make_midpoint_result(b, x, y, "z", PairKind.GENERIC, carrier)
 
 
 def b2_equal_moduli(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
@@ -149,11 +149,11 @@ def b2_equal_moduli(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Midpo
     """
     require_case(Model.DISK, x, y, (PairKind.EQUAL_MODULI,), tol)
     b = _builder("b2-equal-moduli", x, y, tol)
-    b.step("ortho_circle", "x", "y", name="carrier", label="S¹(a,r_a)")
+    carrier = b.step("ortho_circle", "x", "y", name="carrier", label="S¹(a,r_a)")
     b.step("line", "x", "y", name="Lxy", label="L(x,y)")
     b.step("perp", "Lxy", "origin", name="La", label="L(0,a)")
     b.step("intersect_radius_ortho", "La", "carrier", name="z", select=IN_DISK)
-    return make_midpoint_result(b, x, y, "z", PairKind.EQUAL_MODULI)
+    return make_midpoint_result(b, x, y, "z", PairKind.EQUAL_MODULI, carrier)
 
 
 class PointChain(NamedTuple):

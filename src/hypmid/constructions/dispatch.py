@@ -24,9 +24,9 @@ def _angles_result(x: Point2, y: Point2, tol: Tolerance) -> MidpointResult:
     # off every diameter the carrier is S(a, r_a), for equal moduli too
     z = midpoint_disk_angles(x, y, tol)
     b = TraceBuilder(Model.DISK, "b2-angles", {"x": x, "y": y, "unit": disk.UNIT_CIRCLE}, tol)
-    b.step("ortho_circle", "x", "y", name="carrier", label="S¹(a,r_a)")
+    carrier = b.step("ortho_circle", "x", "y", name="carrier", label="S¹(a,r_a)")
     b.env["z"] = z
-    return make_midpoint_result(b, x, y, "z", PairKind.GENERIC)
+    return make_midpoint_result(b, x, y, "z", PairKind.GENERIC, carrier)
 
 
 H2_METHODS = {
@@ -111,4 +111,4 @@ def midpoint(
             except GeometryError:
                 pass  # auto refuses the pair too: no fallback
         raise
-    return result._replace(oracle_distance=(result.z - midpoint_oracle(model, x, y, tol)).norm())
+    return tuple.__new__(MidpointResult, (*result[:4], (result.z - midpoint_oracle(model, x, y, tol)).norm()))

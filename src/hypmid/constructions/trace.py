@@ -117,17 +117,16 @@ class MidpointResult(NamedTuple):
         return self.oracle_distance is not None and self.oracle_distance > ORACLE_FLAG_THRESHOLD
 
 
-def make_midpoint_result(builder: "TraceBuilder", x: Point2, y: Point2, z_name: str, kind: PairKind) -> MidpointResult:
-    """Seal the trace and measure z against x, y; ``kind`` is the pair's case, already decided."""
+def make_midpoint_result(
+    builder: "TraceBuilder", x: Point2, y: Point2, z_name: str, kind: PairKind, carrier: Circle2 | None = None
+) -> MidpointResult:
+    """Seal the trace and measure z against x, y; ``kind`` is the pair's case, ``carrier`` its drawn carrier or None."""
     z = builder.env[z_name]
     trace = builder.finish(z_name)
-    carrier = geodesic_carrier(builder.model, x, y, kind, builder.tol)
-    return MidpointResult(
-        z=z,
-        trace=trace,
-        residual_equal_distance=abs(rho(builder.model, x, z) - rho(builder.model, z, y)),
-        residual_on_geodesic=is_on(z, carrier, builder.tol).residual,
-    )
+    if carrier is None:
+        carrier = geodesic_carrier(builder.model, x, y, kind, builder.tol)
+    residual_rho = abs(rho(builder.model, x, z) - rho(builder.model, z, y))
+    return tuple.__new__(MidpointResult, (z, trace, residual_rho, is_on(z, carrier, builder.tol).residual, None))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +196,7 @@ class Op:
         self.fn = fn
         self.kinds = kinds
         self.result = result
-        self._coerce = tuple(_KINDS[kind] for kind in kinds)
+        self._coerce = tuple((i, *_KINDS[kind]) for i, kind in enumerate(kinds))
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +290,9 @@ OPS: dict[str, Op] = {
 def run_op(op: str, values: list, tol: Tolerance = DEFAULT_TOL):
     """Run primitive ``op`` on argument values (selector last), coerced by kind in place."""
     row = OPS[op]
-    i = 0
-    for passed, coerce in row._coerce:
+    for i, passed, coerce in row._coerce:
         if type(values[i]) not in passed:
             values[i] = coerce(values[i])
-        i += 1
     return row.fn(*values, tol)
 
 
@@ -335,14 +332,8 @@ class TraceBuilder:
     def finish(self, result_name: str | None, result: Point2 | None = None) -> ConstructionTrace:
         if result is None:
             result = self.env[result_name]
-        return ConstructionTrace(
-            model=self.model,
-            initial=self._initial,
-            steps=tuple(self.steps),
-            result=result,
-            result_name=result_name,
-            method_id=self.method_id,
-        )
+        fields = (self.model, self._initial, tuple(self.steps), result, result_name, self.method_id)
+        return tuple.__new__(ConstructionTrace, fields)
 
 
 def replay(trace: ConstructionTrace, tol: Tolerance = DEFAULT_TOL):

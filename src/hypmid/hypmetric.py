@@ -56,11 +56,13 @@ class Model(enum.Enum):
     DISK = "b2"
 
 
-def in_domain(model: Model, p: Point2) -> bool:
+def _in_half_plane(x1: float, x2: float) -> bool:
     # chained comparisons are False on nan and exclude both infinities
-    if model is Model.HALF_PLANE:
-        return 0.0 < p.x2 < math.inf and -math.inf < p.x1 < math.inf
-    return math.hypot(p.x1, p.x2) < 1.0
+    return 0.0 < x2 < math.inf and -math.inf < x1 < math.inf
+
+
+def in_domain(model: Model, p: Point2) -> bool:
+    return _in_half_plane(p.x1, p.x2) if model is Model.HALF_PLANE else math.hypot(p.x1, p.x2) < 1.0
 
 
 def require_in_domain(model: Model, *points: Point2) -> None:
@@ -84,10 +86,11 @@ def pair_kind(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) 
     with s = 1 + |x| + |y|.  LINE: |x1 - y1| <= eps s in h2, |x × y| / (1 + |x||y|)
     <= eps in b2 (true if x or y is 0).  EQUAL_MODULI: ||x| - |y|| <= eps in b2.
     """
-    require_in_domain(model, x, y)
-    eps = tol.eps_degenerate
     x1, x2, y1, y2 = x.x1, x.x2, y.x1, y.x2
     nx, ny = math.hypot(x1, x2), math.hypot(y1, y2)
+    if not ((nx < 1.0 and ny < 1.0) if model is Model.DISK else _in_half_plane(x1, x2) and _in_half_plane(y1, y2)):
+        require_in_domain(model, x, y)
+    eps = tol.eps_degenerate
     scale = 1.0 + nx + ny
     if math.hypot(x1 - y1, x2 - y2) <= eps * scale:
         raise DegenerateInput(f"need two distinct points, got {x} ~ {y}")
@@ -129,16 +132,19 @@ def rho_halfplane(x: Point2, y: Point2) -> float:
     Evaluated as arcosh(1+u) = log1p(u + sqrt(u(u+2))), which keeps full
     precision for close points where the naive arcosh loses half the digits.
     """
-    require_in_domain(Model.HALF_PLANE, x, y)
-    d1, d2 = x.x1 - y.x1, x.x2 - y.x2
-    u = (d1 * d1 + d2 * d2) / (2.0 * x.x2 * y.x2)
+    x1, x2, y1, y2 = x.x1, x.x2, y.x1, y.x2
+    if not (_in_half_plane(x1, x2) and _in_half_plane(y1, y2)):
+        require_in_domain(Model.HALF_PLANE, x, y)
+    d1, d2 = x1 - y1, x2 - y2
+    u = (d1 * d1 + d2 * d2) / (2.0 * x2 * y2)
     return math.log1p(u + math.sqrt(u * (u + 2.0)))
 
 
 def rho_disk(x: Point2, y: Point2) -> float:
     """Disk distance via sinh(rho/2) = |x-y| / sqrt((1-|x|^2)(1-|y|^2))."""
-    require_in_domain(Model.DISK, x, y)
     x1, x2, y1, y2 = x.x1, x.x2, y.x1, y.x2
+    if not (math.hypot(x1, x2) < 1.0 and math.hypot(y1, y2) < 1.0):
+        require_in_domain(Model.DISK, x, y)
     t = math.hypot(x1 - y1, x2 - y2) / math.sqrt((1.0 - (x1 * x1 + x2 * x2)) * (1.0 - (y1 * y1 + y2 * y2)))
     return 2.0 * math.asinh(t)
 

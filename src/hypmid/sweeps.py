@@ -335,6 +335,8 @@ def find_semicircle_partner(x: Point2, r_y: float, rng: random.Random, tol: Tole
             lo, hi, flo = prev_phi, phi, prev_val
             for _ in range(100):
                 mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break  # lo and hi are adjacent floats: no later step moves them
                 fmid = residual(mid)
                 if (fmid < 0.0) == (flo < 0.0):
                     lo, flo = mid, fmid

@@ -387,6 +387,22 @@ def test_cli_import_loads_only_what_midpoint_runs():
     assert lines[-2:] == ["0", "True False"]
 
 
+def test_python_dash_m_hypmid_prints_what_main_prints(capsys):
+    argv = ["midpoint", "--model", "b2", "--x", "0.5,0", "--y", "0,0.25", "--plain"]
+    code, out, _ = run(capsys, *argv)
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypmid", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert code == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+
 def test_json_output_is_sorted_and_stable(capsys):
     code1, out1, _ = run(capsys, "midpoint", "--model", "b2", "--x", "0.5,0", "--y", "0,0.25")
     code2, out2, _ = run(capsys, "midpoint", "--model", "b2", "--x", "0.5,0", "--y", "0,0.25")

@@ -23,7 +23,7 @@ from hypmid.constructions import (
 from hypmid import hypmetric, script
 from hypmid.constructions import dispatch
 from hypmid.constructions.reports import lemma46_report
-from hypmid.constructions.trace import OPS, replay
+from hypmid.constructions.trace import OPS, replay, run_op
 from hypmid.errors import (
     ChainSaturated,
     CollinearWithOrigin,
@@ -34,7 +34,7 @@ from hypmid.errors import (
     NotOnDiameter,
     NotVerticallyAligned,
 )
-from hypmid.geom2d import ORIGIN, Circle2, Point2, invert_in_circle
+from hypmid.geom2d import ORIGIN, Circle2, Point2, invert_in_circle, is_on, line_through
 from hypmid.hypmetric import Model, midpoint_oracle, rho_disk, rho_halfplane
 from hypmid.sweeps import sample_disk_pair, sample_h2_carrier_pair
 
@@ -640,3 +640,44 @@ def test_each_call_decides_the_pair_kind_once(monkeypatch):
         assert count(midpoint, model, x, y, "auto") == 3, (model, config)
     assert count(midpoint, Model.DISK, *PAIR_OF[(Model.DISK, "generic")], "angles") == 2
     assert count(lemma46_report, *PAIR_OF[(Model.DISK, "generic")]) == 1
+
+
+# off every diameter, the sealed result measures z against the carrier the
+# method recorded; it must be the closed-form carrier of the pair
+@pytest.mark.parametrize("method", ["I", "II", "III", "IV", "V", "VI", "equal", "angles"])
+def test_recorded_disk_carrier_is_the_closed_form_carrier(method):
+    rng = random.Random(22)
+    checked = 0
+    for _ in range(25):
+        x, y = sample_disk_pair(rng)
+        if method == "equal":
+            turn = rng.uniform(0.3, 2.8)
+            y = Point2(x.norm() * math.cos(turn), x.norm() * math.sin(turn))
+        try:
+            res = midpoint(Model.DISK, x, y, method)
+        except MethodInapplicable:
+            continue
+        kind = hypmetric.pair_kind(Model.DISK, x, y)
+        carrier = hypmetric.geodesic_carrier(Model.DISK, x, y, kind)
+        assert dict(res.trace.objects())["carrier"] == carrier, (x, y)
+        assert res.residual_on_geodesic == is_on(res.z, carrier).residual, (x, y)
+        checked += 1
+    assert checked >= 20
+
+
+def test_recorded_step_coerces_a_circle_to_its_center_through_run_op(monkeypatch):
+    calls = []
+
+    def spy(op, values, tol):
+        calls.append((op, [type(v) for v in values]))
+        return run_op(op, values, tol)
+
+    monkeypatch.setattr("hypmid.constructions.trace.run_op", spy)
+    x, y = Point2(1.0, 1.0), Point2(2.5, 0.7)
+    res = h2_method_III(x, y)
+    objects = dict(res.trace.objects())
+    step = next(s for s in res.trace.steps if s.produces == "Lox")
+    assert (step.kind, step.inputs, step.label) == ("line", ("carrier", "x"), "L(o,x)")
+    assert step.result == line_through(objects["carrier"].center, x)
+    assert ("line", [Circle2, Point2]) in calls
+    assert len(calls) == len(res.trace.steps)

@@ -473,3 +473,40 @@ def test_infinity_endpoint_for_vertical_geodesics():
     g = geodesic_of(Model.HALF_PLANE, Point2(2, 5), Point2(2, 1))
     assert g.ideal_endpoints[0] is INFINITY
     assert isinstance(OrthoCircle(Point2(1.25, 1.25), math.sqrt(2.125)).as_circle(), Circle2)
+
+
+# points outside each model's domain: nan, +-inf, |x| = 1 in b2, x2 = 0 and -0.0 in h2
+NAN, INF = math.nan, math.inf
+OUTSIDE = {
+    Model.DISK: [
+        Point2(NAN, 0.0),
+        Point2(0.0, NAN),
+        Point2(INF, 0.0),
+        Point2(0.0, -INF),
+        Point2(NAN, INF),
+        Point2(1.0, 0.0),
+        Point2(-0.0, -1.0),
+    ],
+    Model.HALF_PLANE: [
+        Point2(NAN, 1.0),
+        Point2(0.0, NAN),
+        Point2(INF, 1.0),
+        Point2(-INF, 1.0),
+        Point2(0.0, INF),
+        Point2(2.0, 0.0),
+        Point2(2.0, -0.0),
+        Point2(0.0, -1.0),
+    ],
+}
+INSIDE = {Model.DISK: Point2(0.3, 0.2), Model.HALF_PLANE: Point2(0.3, 2.0)}
+
+
+@pytest.mark.parametrize(("model", "p"), [(m, p) for m, points in OUTSIDE.items() for p in points])
+def test_outside_domain_names_the_first_point_outside(model, p):
+    inside = INSIDE[model]
+    rho_of_model = rho_disk if model is Model.DISK else rho_halfplane
+    for fn in (lambda x, y: hypmetric.pair_kind(model, x, y), rho_of_model):
+        for x, y in ((p, inside), (inside, p), (p, Point2(NAN, -1.0))):
+            with pytest.raises(OutsideDomain) as info:
+                fn(x, y)
+            assert str(info.value) == f"{p} is not in the {model.value} domain"

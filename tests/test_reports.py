@@ -183,6 +183,48 @@ def test_semicircle_partner_respects_modulus():
     assert abs(x.norm() - y.norm()) > MIN_GAP
 
 
+def test_semicircle_partner_equals_a_full_100_step_bisection():
+    # the search stops bisecting once lo and hi are adjacent floats, after which
+    # no step can move them; this is the loop that always runs all 100 steps
+    def full_bisection(x, r_y, rng):
+        base = math.atan2(x.x2, x.x1)
+
+        def candidate(phi):
+            return Point2(r_y * math.cos(base + phi), r_y * math.sin(base + phi))
+
+        def residual(phi):
+            return semicircle_residual(x, candidate(phi))
+
+        grid = [0.05 + (math.pi - 0.1) * i / 80 for i in range(81)]
+        if rng.random() < 0.5:
+            grid = [-g for g in grid]
+        prev_phi, prev_val = grid[0], residual(grid[0])
+        for phi in grid[1:]:
+            val = residual(phi)
+            if (val < 0.0) != (prev_val < 0.0):
+                lo, hi, flo = prev_phi, phi, prev_val
+                for _ in range(100):
+                    mid = 0.5 * (lo + hi)
+                    fmid = residual(mid)
+                    if (fmid < 0.0) == (flo < 0.0):
+                        lo, flo = mid, fmid
+                    else:
+                        hi = mid
+                return candidate(0.5 * (lo + hi))
+            prev_phi, prev_val = phi, val
+        return None
+
+    found = 0
+    for seed in range(20):
+        draw = random.Random(seed)
+        x = unit_point(draw.uniform(0.0, math.tau)) * draw.uniform(0.1, 0.9)
+        r_y = draw.uniform(0.1, 0.9)
+        y = find_semicircle_partner(x, r_y, random.Random(seed))
+        assert y == full_bisection(x, r_y, random.Random(seed)), seed
+        found += y is not None
+    assert found >= 15
+
+
 @pytest.mark.parametrize("method, check", [("b2_method_I", "check_b2_concurrency"), ("h2_method_II", "check_h2_concurrency")])
 def test_nan_midpoint_fails_concurrency_checks(monkeypatch, method, check):
     # one method's z = (nan, nan) comes after finite candidates, where the builtin max would drop it

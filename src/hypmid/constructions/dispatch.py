@@ -1,20 +1,21 @@
 """Single entry point for midpoint construction with method dispatch.
 
-:data:`METHODS` is each model's method table.  :func:`midpoint` decides the
-pair's case once, with :func:`~hypmid.hypmetric.pair_kind`; ``auto`` runs the
-method :data:`AUTO_METHOD` names for it.  An explicit method that does not
-take the case raises :class:`MethodInapplicable` with the case's
-:func:`~hypmid.hypmetric.case_refusal`.  Every :class:`MethodInapplicable` of
-an explicit method, whether a case mismatch or a refusal the method raises
-itself, carries auto's result as the fallback, or none if auto fails too.
+:data:`METHODS` is each model's method table, and each method refuses a pair
+outside its own cases (:func:`~hypmid.hypmetric.require_case`).
+:func:`midpoint` only routes, wraps refusals and measures: ``auto`` decides
+the pair's case with :func:`~hypmid.hypmetric.pair_kind` to run the method
+:data:`AUTO_METHOD` names for it, and an explicit method runs at once.  A
+typed refusal of an explicit method becomes a :class:`MethodInapplicable`
+named after its class, and every :class:`MethodInapplicable` of an explicit
+method carries auto's result as the fallback, or none if auto fails too.
 Every result carries its Euclidean distance to the closed-form oracle.
 """
 
 from __future__ import annotations
 
-from ..errors import GeometryError, MethodInapplicable
+from ..errors import CollinearWithOrigin, EqualModuli, GeometryError, MethodInapplicable, NotOnDiameter, NotVerticallyAligned
 from ..geom2d import DEFAULT_TOL, Point2, Tolerance
-from ..hypmetric import Model, PairKind, case_refusal, midpoint_disk_angles, midpoint_oracle, pair_kind
+from ..hypmetric import Model, PairKind, midpoint_disk_angles, midpoint_oracle, pair_kind, require_case
 from . import disk, halfplane
 from .trace import MidpointResult, TraceBuilder, make_midpoint_result
 
@@ -22,6 +23,7 @@ from .trace import MidpointResult, TraceBuilder, make_midpoint_result
 def _angles_result(x: Point2, y: Point2, tol: Tolerance) -> MidpointResult:
     # closed-form method: record the carrier for rendering, then the formula z;
     # off every diameter the carrier is S(a, r_a), for equal moduli too
+    require_case(Model.DISK, x, y, (PairKind.GENERIC, PairKind.EQUAL_MODULI), tol)
     z = midpoint_disk_angles(x, y, tol)
     b = TraceBuilder(Model.DISK, "b2-angles", {"x": x, "y": y, "unit": disk.UNIT_CIRCLE}, tol)
     carrier = b.step("ortho_circle", "x", "y", name="carrier", label="S¹(a,r_a)")
@@ -55,13 +57,8 @@ METHODS = {Model.HALF_PLANE: H2_METHODS, Model.DISK: B2_METHODS}
 
 METHOD_NAMES = ("auto", *B2_METHODS)
 
-# the pair cases each method takes; every method not listed takes a generic pair
-_GENERIC = (PairKind.GENERIC,)
-_CASES = {
-    "case1": (PairKind.LINE,),
-    "equal": (PairKind.EQUAL_MODULI,),
-    "angles": (PairKind.GENERIC, PairKind.EQUAL_MODULI),
-}
+# the typed errors of require_case; an explicit method's becomes a MethodInapplicable
+_REFUSALS = (NotVerticallyAligned, NotOnDiameter, CollinearWithOrigin, EqualModuli)
 
 # the suites of ``hypmid verify`` and its default agreement tolerance; the
 # sweeps read them from here, so the CLI parser names them without importing
@@ -89,21 +86,18 @@ def midpoint(
     Euclidean distance to :func:`~hypmid.hypmetric.midpoint_oracle`; see
     :meth:`MidpointResult.oracle_disagrees` for when that marks a disagreement.
     """
-    kind = pair_kind(model, x, y, tol)
     requested = method
     if method == "auto":
-        method = AUTO_METHOD[model][kind]
+        method = AUTO_METHOD[model][pair_kind(model, x, y, tol)]
     table = METHODS[model]
     run = table.get(method)
     if run is None:
         raise ValueError(f"unknown {model.value} method {method!r}; expected one of auto, {', '.join(table)}")
-    cases = _CASES.get(method, _GENERIC)
     try:
-        if kind not in cases:
-            refusal = case_refusal(model, x, y, kind, cases)
-            reason = refusal.reason if isinstance(refusal, MethodInapplicable) else type(refusal).__name__
-            raise MethodInapplicable(reason, str(refusal)) from refusal
-        result = run(x, y, tol)
+        try:
+            result = run(x, y, tol)
+        except _REFUSALS as refusal:
+            raise MethodInapplicable(type(refusal).__name__, str(refusal)) from refusal
     except MethodInapplicable as exc:
         if requested != "auto":
             try:

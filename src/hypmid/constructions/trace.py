@@ -1,19 +1,19 @@
-"""Recorded compass-and-ruler steps with deterministic replay.
+"""Recorded compass-and-ruler steps.
 
 Every midpoint construction records the primitive steps it performs (lines,
 circles, intersections, perpendiculars, reflections, inversions) so figures
 and audits always reflect the actual construction, not a closed form.
 
 Each primitive is one row of :data:`OPS`, keyed by its ``.hgc`` function
-name.  :class:`TraceBuilder`, :func:`replay` and the ``.hgc`` evaluator all
-run primitives through :func:`run_op`, so a recorded step and the script line
-that names the same op on the same inputs compute the same value.
+name.  :class:`TraceBuilder` and the ``.hgc`` evaluator both run primitives
+through :func:`run_op`, so a recorded step and the script line that names the
+same op on the same inputs compute the same value.
 
 Step inputs are names of previously produced objects or of the initial data.
 Where a step needs a point and the named object is a circle, the circle's
 center is used: once a circle is drawn its center is known, and the paper's
 step tables treat centers the same way.  Selector anchors are stored by value
-inside the step so replay is bit-identical.
+inside the step, so a trace written out as a script reruns bit for bit.
 """
 
 from __future__ import annotations
@@ -334,15 +334,3 @@ class TraceBuilder:
             result = self.env[result_name]
         fields = (self.model, self._initial, tuple(self.steps), result, result_name, self.method_id)
         return tuple.__new__(ConstructionTrace, fields)
-
-
-def replay(trace: ConstructionTrace, tol: Tolerance = DEFAULT_TOL):
-    """Re-execute the recorded steps; returns the final environment.
-
-    Running the same operations on the same inputs reproduces every produced
-    object bit-identically.
-    """
-    env: dict[str, object] = dict(trace.initial)
-    for step in trace.steps:
-        env[step.produces] = run_op(step.kind, [env[ref] for ref in step.inputs] + list(step.data), tol)
-    return env

@@ -119,7 +119,7 @@ class Point2:
         return Point2(z.real, z.imag)
 
     def close_to(self, other: "Point2", tol: float) -> bool:
-        """Tolerance-based equality; bit-level ``==`` is for replay checks only."""
+        """Tolerance-based equality; bit-level ``==`` is for bit-for-bit checks only."""
         return (self - other).norm() <= tol
 
 

@@ -4,10 +4,11 @@ Supports the upper half-plane (points with x2 > 0, geodesics are vertical
 lines and semicircles centered on the real axis) and the Poincare unit disk
 (points with |x| < 1, geodesics are diameters and arcs orthogonal to the unit
 circle).  :func:`pair_kind` decides a pair's case of the paper's
-constructions and checks its domain and distinctness, and :func:`require_case`
-refuses a pair outside a method's cases by one rule.  Each public entry
-point that takes a pair decides it once (a method's precondition, the
-dispatching ``midpoint``, the oracle, :func:`geodesic_of`) and hands the
+constructions and checks its domain and distinctness.  :func:`require_case`
+is every method's precondition: the method names its cases there, once, and
+a pair outside them gets one typed refusal per mismatch.  Each public entry
+point that takes a pair decides it once (a method's precondition, ``auto``'s
+routing, the oracle, :func:`geodesic_of`) and hands the
 :class:`PairKind` on, so :func:`geodesic_carrier` takes it instead of
 deciding again.  :func:`geodesic_of` adds the ordered ideal endpoints, which
 the ``.hgc`` ``geodesic`` op and :func:`rho_via_cross_ratio` read; the
@@ -28,7 +29,6 @@ from .errors import (
     CollinearWithOrigin,
     DegenerateInput,
     EqualModuli,
-    GeometryError,
     MethodInapplicable,
     NotOnArc,
     NotOnDiameter,
@@ -61,13 +61,9 @@ def _in_half_plane(x1: float, x2: float) -> bool:
     return 0.0 < x2 < math.inf and -math.inf < x1 < math.inf
 
 
-def in_domain(model: Model, p: Point2) -> bool:
-    return _in_half_plane(p.x1, p.x2) if model is Model.HALF_PLANE else math.hypot(p.x1, p.x2) < 1.0
-
-
 def require_in_domain(model: Model, *points: Point2) -> None:
     for p in points:
-        if not in_domain(model, p):
+        if not (_in_half_plane(p.x1, p.x2) if model is Model.HALF_PLANE else math.hypot(p.x1, p.x2) < 1.0):
             raise OutsideDomain(f"{p} is not in the {model.value} domain")
 
 
@@ -103,27 +99,22 @@ def pair_kind(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) 
     return PairKind.GENERIC
 
 
-def case_refusal(model: Model, x: Point2, y: Point2, kind: PairKind, cases: tuple[PairKind, ...]) -> GeometryError:
-    """The typed error for a pair of case ``kind`` given to a method that takes only ``cases``."""
+def require_case(model: Model, x: Point2, y: Point2, cases: tuple[PairKind, ...], tol: Tolerance = DEFAULT_TOL) -> PairKind:
+    """A method's precondition: the pair's case if it is among ``cases``, else its typed refusal."""
+    kind = pair_kind(model, x, y, tol)
+    if kind in cases:
+        return kind
     if model is Model.HALF_PLANE:
         if kind is PairKind.LINE:
-            return MethodInapplicable("VerticalCarrier", "x and y share a vertical geodesic; use the vertical case")
-        return NotVerticallyAligned(f"x1 differs: {x.x1!r} vs {y.x1!r}")
+            raise MethodInapplicable("VerticalCarrier", "x and y share a vertical geodesic; use the vertical case")
+        raise NotVerticallyAligned(f"x1 differs: {x.x1!r} vs {y.x1!r}")
     if kind is PairKind.LINE:
-        return CollinearWithOrigin(f"0, {x}, {y} are collinear")
+        raise CollinearWithOrigin(f"0, {x}, {y} are collinear")
     if PairKind.LINE in cases:
-        return NotOnDiameter(f"0, {x}, {y} are not collinear")
+        raise NotOnDiameter(f"0, {x}, {y} are not collinear")
     if kind is PairKind.GENERIC:
-        return MethodInapplicable("ModuliDiffer", f"|x| != |y| ({x.norm()!r} vs {y.norm()!r})")
-    return EqualModuli(f"|x| = |y| = {x.norm()!r}; the bisector circle degenerates")
-
-
-def require_case(model: Model, x: Point2, y: Point2, cases: tuple[PairKind, ...], tol: Tolerance = DEFAULT_TOL) -> PairKind:
-    """A method's precondition: the pair's case if it is among ``cases``, else its :func:`case_refusal`."""
-    kind = pair_kind(model, x, y, tol)
-    if kind not in cases:
-        raise case_refusal(model, x, y, kind, cases)
-    return kind
+        raise MethodInapplicable("ModuliDiffer", f"|x| != |y| ({x.norm()!r} vs {y.norm()!r})")
+    raise EqualModuli(f"|x| = |y| = {x.norm()!r}; the bisector circle degenerates")
 
 
 def rho_halfplane(x: Point2, y: Point2) -> float:

@@ -17,15 +17,13 @@ from typing import NamedTuple
 from .constructions import (
     AGREEMENT_TOL,
     SUITES,
-    b2_case1,
-    b2_equal_moduli,
     b2_method_I,
     b2_methods_II_to_VI,
-    h2_case1,
     h2_method_I,
     h2_method_II,
     h2_method_III,
     h2_method_IV,
+    midpoint,
     scale_sequence,
 )
 from .constructions.reports import (
@@ -406,8 +404,7 @@ def check_case1_constructions(
             continue
         if run_h2:
             x, y = Point2(x1, h1), Point2(x1, h2)
-            res = h2_case1(x, y, tol)
-            worst_h2 = _worse(worst_h2, (res.z - midpoint_oracle(Model.HALF_PLANE, x, y, tol)).norm())
+            worst_h2 = _worse(worst_h2, midpoint(Model.HALF_PLANE, x, y, "case1", tol).oracle_distance)
 
         th = rng.uniform(0.0, math.tau)
         d = Point2(math.cos(th), math.sin(th))
@@ -416,16 +413,14 @@ def check_case1_constructions(
             continue
         if run_b2:
             x, y = d * t1, d * t2
-            res = b2_case1(x, y, tol)
-            worst_b2 = _worse(worst_b2, (res.z - midpoint_oracle(Model.DISK, x, y, tol)).norm())
+            worst_b2 = _worse(worst_b2, midpoint(Model.DISK, x, y, "case1", tol).oracle_distance)
 
         r = rng.uniform(0.1, MAX_MODULUS)
         a1 = rng.uniform(0.0, math.tau)
         a2 = a1 + rng.uniform(0.1, 2.0)
         x, y = Point2(r * math.cos(a1), r * math.sin(a1)), Point2(r * math.cos(a2), r * math.sin(a2))
         if run_b2 and abs(x.cross(y)) / (x.norm() * y.norm()) >= MIN_MARGIN:
-            res = b2_equal_moduli(x, y, tol)
-            worst_eq = _worse(worst_eq, (res.z - midpoint_oracle(Model.DISK, x, y, tol)).norm())
+            worst_eq = _worse(worst_eq, midpoint(Model.DISK, x, y, "equal", tol).oracle_distance)
     results = []
     if run_h2:
         results.append(_result("h2 vertical case vs oracle", n, worst_h2, cfg.tolerance))

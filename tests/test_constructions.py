@@ -23,7 +23,7 @@ from hypmid.constructions import (
 from hypmid import hypmetric, script
 from hypmid.constructions import dispatch
 from hypmid.constructions.reports import lemma46_report
-from hypmid.constructions.trace import OPS, replay, run_op
+from hypmid.constructions.trace import OPS, run_op
 from hypmid.errors import (
     ChainSaturated,
     CollinearWithOrigin,
@@ -401,20 +401,6 @@ def test_case_split_boundaries(case, monkeypatch):
 
 
 class TestTraces:
-    def test_replay_bit_identical(self):
-        cases = [
-            h2_case1(Point2(2, 1), Point2(2, 4)),
-            h2_method_I(Point2(1, 1), Point2(2.5, 0.7)),
-            h2_method_IV(Point2(1, 1), Point2(2.5, 0.7)),
-            b2_method_I(Point2(0.5, 0), Point2(0, 0.25)),
-            b2_methods_II_to_VI(Point2(0.5, 0), Point2(0, 0.25), "V"),
-            b2_case1(Point2(0.1, 0.1), Point2(0.3, 0.3)),
-            b2_equal_moduli(Point2(0.5, 0.1), Point2(0.1, 0.5)),
-        ]
-        for res in cases:
-            env = replay(res.trace)
-            assert env[res.trace.result_name] == res.z, res.trace.method_id
-
     def test_steps_reference_known_names(self):
         res = b2_method_I(Point2(0.5, 0), Point2(0, 0.25))
         known = {name for name, _ in res.trace.initial}
@@ -423,13 +409,8 @@ class TestTraces:
                 assert ref in known, f"step {step.produces} references unknown {ref!r}"
             known.add(step.produces)
 
-    def test_chain_trace_replays(self):
-        chain = scale_sequence(Point2(0.4, 0.2), 4)
-        env = replay(chain.trace)
-        assert env["X4"] == chain.points[-1]
 
-
-# the cases of test_replay_bit_identical plus the chain
+# traces of both models' cases and of the chain, replayed as scripts
 SCRIPT_CASES = {
     "h2_case1": lambda: h2_case1(Point2(2, 1), Point2(2, 4)).trace,
     "h2_I": lambda: h2_method_I(Point2(1, 1), Point2(2.5, 0.7)).trace,
@@ -613,8 +594,8 @@ DIRECT_METHODS = [
 ]
 
 
-# a method decides the pair's case in its precondition; midpoint() decides it
-# once for dispatch, and the oracle once for its own domain check
+# a method decides the pair's case in its precondition, and the oracle once
+# for its own domain check; midpoint() decides it only to route auto
 def test_each_call_decides_the_pair_kind_once(monkeypatch):
     original = hypmetric.pair_kind
     calls = []
@@ -635,11 +616,33 @@ def test_each_call_decides_the_pair_kind_once(monkeypatch):
     for model, config, method, fn in DIRECT_METHODS:
         x, y = PAIR_OF[(model, config)]
         assert count(fn, x, y) == 1, (model, method)
-        assert count(midpoint, model, x, y, method) == 3, (model, method)
+        assert count(midpoint, model, x, y, method) == 2, (model, method)
     for (model, config), (x, y) in PAIR_OF.items():
         assert count(midpoint, model, x, y, "auto") == 3, (model, config)
     assert count(midpoint, Model.DISK, *PAIR_OF[(Model.DISK, "generic")], "angles") == 2
     assert count(lemma46_report, *PAIR_OF[(Model.DISK, "generic")]) == 1
+
+
+@pytest.mark.parametrize(
+    "model, method_config, pair_config", list(REFUSAL), ids=[f"{m.value}-{a}-on-{b}" for m, a, b in REFUSAL]
+)
+def test_explicit_mismatch_wraps_the_methods_own_refusal(model, method_config, pair_config):
+    x, y = PAIR_OF[(model, pair_config)]
+    name, fn = CASE_METHOD[model][method_config]
+    with pytest.raises(GeometryError) as direct:
+        fn(x, y)
+    with pytest.raises(MethodInapplicable) as err:
+        midpoint(model, x, y, name)
+    assert err.value.reason == getattr(direct.value, "reason", type(direct.value).__name__)
+    assert str(err.value) == str(direct.value)
+    assert err.value.fallback.z == midpoint(model, x, y).z
+
+
+def test_angles_refuses_a_pair_on_a_diameter():
+    # a line pair to pair_kind, though ortho_circle_through alone would take it
+    with pytest.raises(MethodInapplicable) as err:
+        midpoint(Model.DISK, *_off_diameter(5e-13), "angles")
+    assert err.value.reason == "CollinearWithOrigin"
 
 
 # off every diameter, the sealed result measures z against the carrier the

@@ -8,6 +8,7 @@ from importlib import resources
 import pytest
 
 from hypmid import script
+from hypmid.constructions import midpoint
 from hypmid.constructions.trace import OPS
 from hypmid.errors import GeometryError
 from hypmid.geom2d import Point2
@@ -288,6 +289,18 @@ class TestCorpus:
             "b2_chain.hgc",
         }
         assert expected <= names
+
+    # the shipped pair lies on the unit semicircle; these pairs do not
+    @pytest.mark.parametrize("name, method", [("h2_method_i.hgc", "I"), ("h2_method_iii.hgc", "III")])
+    @pytest.mark.parametrize("x, y", [((-1.0, 0.5), (0.5, 2.0)), ((2.5, 0.3), (4.0, 1.1))])
+    def test_h2_script_rebound_off_the_unit_semicircle(self, name, method, x, y):
+        source = (resources.files("hypmid") / "corpus" / name).read_text(encoding="utf-8")
+        x, y = Point2(*x), Point2(*y)
+        result = script.evaluate(script.parse(source), bind={"x": x, "y": y})
+        failed = [a for a in result.assertions if not a.passed]
+        assert not failed, failed
+        ((_, z),) = result.outputs
+        assert (z - midpoint(Model.HALF_PLANE, x, y, method).z).norm() <= 1e-9
 
 
 def diagnosis(source: str) -> tuple:

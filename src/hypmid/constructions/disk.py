@@ -16,9 +16,10 @@ from ..geom2d import (
     Circle2,
     Point2,
     Tolerance,
+    nearer,
     nearest_to,
 )
-from ..hypmetric import Model, OrthoCircle, PairKind, arc_ends, require_case, require_in_domain, rho_disk
+from ..hypmetric import Model, PairKind, require_case, require_in_domain, rho_disk
 from .trace import ConstructionTrace, MidpointResult, TraceBuilder, make_midpoint_result
 
 UNIT_CIRCLE = Circle2(ORIGIN, 1.0)
@@ -51,14 +52,6 @@ def bisector_circle(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> tuple
     w = (y * (1.0 - nx2) - x * (1.0 - ny2)) * (1.0 / den)
     r_w = (x - y).norm() * math.sqrt((1.0 - nx2) * (1.0 - ny2)) / abs(den)
     return w, r_w
-
-
-def _ideal_endpoint_refs(b: TraceBuilder, x: Point2, y: Point2) -> None:
-    """Record x_*, y_* = carrier n S1 ordered so x_*, x, y, y_* follow the arc."""
-    carrier = b.env["carrier"]
-    xsub, ysub = arc_ends(x, y, OrthoCircle(carrier.center, carrier.radius))
-    b.step("intersect_unit_ortho", "carrier", name="xsub", label="x_*", select=nearest_to(xsub))
-    b.step("intersect_unit_ortho", "carrier", name="ysub", label="y_*", select=nearest_to(ysub))
 
 
 def b2_case1(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
@@ -125,8 +118,9 @@ def b2_methods_II_to_VI(x: Point2, y: Point2, which: str, tol: Tolerance = DEFAU
     if "ysup" in needed:
         b.step("invert", "y", name="ysup", label="y^*")
     carrier = b.step("ortho_circle", "x", "y", name="carrier", label="S¹(a,r_a)")
-    if needed & {"xsub", "ysub"}:
-        _ideal_endpoint_refs(b, x, y)
+    if needed & {"xsub", "ysub"}:  # x_* = carrier n S1 nearer x than y, so x_*, x, y, y_* follow the arc
+        b.step("intersect_unit_ortho", "carrier", name="xsub", label="x_*", select=nearer(x, y))
+        b.step("intersect_unit_ortho", "carrier", name="ysub", label="y_*", select=nearer(y, x))
     pretty = {"x": "x", "y": "y", "xsub": "x_*", "ysub": "y_*", "xsup": "x^*", "ysup": "y^*"}
     b.step("line", p1, q1, name="La", label=f"L({pretty[p1]},{pretty[q1]})")
     b.step("line", p2, q2, name="Lb", label=f"L({pretty[p2]},{pretty[q2]})")

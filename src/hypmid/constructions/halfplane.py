@@ -15,9 +15,10 @@ from ..geom2d import (
     Line2,
     Point2,
     Tolerance,
+    nearer,
     nearest_to,
 )
-from ..hypmetric import Model, PairKind, require_case, semicircle_ends
+from ..hypmetric import Model, PairKind, require_case
 from .trace import MidpointResult, TraceBuilder, make_midpoint_result
 
 AXIS = Line2(Point2(0.0, 1.0), 0.0)
@@ -92,9 +93,9 @@ def h2_method_II(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Midpoint
     """Ideal-chord method: z above v = L(x, x_*) n L(y, y_*)."""
     require_case(Model.HALF_PLANE, x, y, (PairKind.GENERIC,), tol)
     b = _builder("h2-II", x, y, tol)
-    xstar, ystar = semicircle_ends(x, y, _carrier_circle(b))
-    b.step("intersect", "carrier", "axis", name="xs", label="x_*", select=nearest_to(xstar))
-    b.step("intersect", "carrier", "axis", name="ys", label="y_*", select=nearest_to(ystar))
+    _carrier_circle(b)
+    b.step("intersect", "carrier", "axis", name="xs", label="x_*", select=nearer(x, y))
+    b.step("intersect", "carrier", "axis", name="ys", label="y_*", select=nearer(y, x))
     b.step("line", "x", "xs", name="Lx", label="L(x,x_*)")
     b.step("line", "y", "ys", name="Ly", label="L(y,y_*)")
     b.step("intersect", "Lx", "Ly", name="v", select=nearest_to(x))
@@ -131,7 +132,7 @@ def h2_method_IV(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Midpoint
     b.step("reflect_real", "y", name="ybar", label="ȳ")
     b.step("line", "x", "ybar", name="L1", label="L(x,ȳ)")
     b.step("line", "xbar", "y", name="L2", label="L(x̄,y)")
-    b.step("intersect", "L1", "L2", name="z1", select=nearest_to(Point2(x.x1, 0.0)))
+    b.step("intersect", "L1", "L2", name="z1", select=nearest_to(x))
     b.step("perp", "axis", "z1", name="Lz1", label="L(z₁)")
     b.step("intersect", "Lz1", "carrier", name="z", select=UPPER)
     return make_midpoint_result(b, x, y, "z", PairKind.GENERIC)

@@ -38,7 +38,7 @@ from ..geom2d import (
 from ..hypmetric import (
     Model,
     PairKind,
-    arc_ends,
+    geodesic_of,
     midpoint_halfplane_unitcircle,
     ortho_circle_through,
     require_case,
@@ -126,14 +126,14 @@ def lemma31_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> dict[s
     ang_y = math.atan2(y.x2, abs(y.x1 - z1))
     res["angle x=angle y"] = ang_x - ang_y
     res["n=(x+y)/2"] = (n - (x + y) * 0.5).norm() / (1.0 + n.norm())
-    res["v on S1(a,r_a)"] = is_on(v, sa, tol).residual
+    res["v on S1(a,r_a)"] = is_on(v, sa)
     res["u on L(s,t)"] = _point_on_line(u, line_through(s, t, tol))
     if w_finite:
         res["u.(2a-w)=1"] = _dot_identity(u, a * 2.0 - w)
     else:
         res["u.(2a-w)=1"] = u.x1 / (1.0 + u.norm())
     p = _orthocenter(v, xst, yst, tol)
-    res["orthocenter on S1(a,r_a)"] = is_on(p, sa, tol).residual
+    res["orthocenter on S1(a,r_a)"] = is_on(p, sa)
     res["z equal rho"] = rho_halfplane(x, z) - rho_halfplane(z, y)
     return res
 
@@ -141,19 +141,19 @@ def lemma31_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> dict[s
 def lemma46_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> dict[str, float | None]:
     """Disk bisector-circle claims plus the shared-line and inversion-pair claims."""
     w, r_w = bisector_circle(x, y, tol)  # refuses all but a generic pair
-    ortho = ortho_circle_through(x, y, tol)
-    a, sa = ortho.a, ortho.as_circle()
+    g = geodesic_of(Model.DISK, x, y, tol, PairKind.GENERIC)
+    a, sa = g.carrier.center, g.carrier
     sw = Circle2(w, r_w)
     xsup, ysup = invert_unit(x, tol), invert_unit(y, tol)
-    xsub, ysub = arc_ends(x, y, ortho)
+    xsub, ysub = g.ideal_endpoints
     z = intersect_circle_circle(sw, sa, IN_DISK, tol)
     lz = line_through(ORIGIN, z, tol)
 
     res: dict[str, float | None] = {
         "w.a=1": _dot_identity(w, a),
         "r_w^2+1=|w|^2": (r_w * r_w + 1.0 - w.norm_sq()) / (1.0 + w.norm_sq()),
-        "S1(w,r_w) orth S1": circles_orthogonal(sw, UNIT_CIRCLE, tol).residual,
-        "S1(w,r_w) orth S1(a,r_a)": circles_orthogonal(sw, sa, tol).residual,
+        "S1(w,r_w) orth S1": circles_orthogonal(sw, UNIT_CIRCLE),
+        "S1(w,r_w) orth S1(a,r_a)": circles_orthogonal(sw, sa),
         "z equal rho": rho_disk(x, z) - rho_disk(z, y),
     }
     # the auxiliary points of chord methods II-VI; method II's drawn u is checked against u's closed form
@@ -189,10 +189,10 @@ def prop47_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> dict[st
     """Circumcircle claims: collinearity always; midpoint/orthogonality/ratio
     equality only when the arc x^*, x, y, y^* is a semicircle."""
     require_case(Model.DISK, x, y, (PairKind.GENERIC,), tol)
-    ortho = ortho_circle_through(x, y, tol)
-    sa = ortho.as_circle()
+    g = geodesic_of(Model.DISK, x, y, tol, PairKind.GENERIC)
+    sa = g.carrier
     xsup, ysup = invert_unit(x, tol), invert_unit(y, tol)
-    xsub, ysub = arc_ends(x, y, ortho)
+    xsub, ysub = g.ideal_endpoints
 
     b = intersect_line_line(line_through(xsub, y, tol), line_through(x, ysup, tol), tol)
     d = intersect_line_line(line_through(xsup, y, tol), line_through(xsub, ysup, tol), tol)
@@ -203,19 +203,19 @@ def prop47_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> dict[st
         "0,b',d' collinear": bp.cross(dp) / (1.0 + bp.norm() * dp.norm()),
     }
 
-    semicircle = abs((xsup - ysup).norm() - 2.0 * ortho.r_a) <= tol.eps_incidence * (1.0 + 2.0 * ortho.r_a)
+    semicircle = abs((xsup - ysup).norm() - 2.0 * sa.radius) <= tol.eps_incidence * (1.0 + 2.0 * sa.radius)
     if semicircle:
         sc = circle_through(ORIGIN, x, y, tol)
         res["S1(c,r_c) through 0,x,y"] = max(
-            abs(is_on(ORIGIN, sc, tol).residual),
-            abs(is_on(x, sc, tol).residual),
-            abs(is_on(y, sc, tol).residual),
+            abs(is_on(ORIGIN, sc)),
+            abs(is_on(x, sc)),
+            abs(is_on(y, sc)),
         )
         lc = line_through(ORIGIN, sc.center, tol)
         z = intersect_line_circle(lc, sa, IN_DISK, tol)
         zp = intersect_line_circle(lc, sa, nearest_to(z * (1.0 / z.norm_sq())), tol)
         res["z equal rho"] = rho_disk(x, z) - rho_disk(z, y)
-        res["S1(c,r_c) orth S1(a,r_a)"] = circles_orthogonal(sc, sa, tol).residual
+        res["S1(c,r_c) orth S1(a,r_a)"] = circles_orthogonal(sc, sa)
         r1 = absolute_ratio(z, x, xsup, zp)
         r2 = absolute_ratio(z, y, ysup, zp)
         res["|z,x,x^*,z'|=|z,y,y^*,z'|"] = r1 - r2

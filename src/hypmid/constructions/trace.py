@@ -126,7 +126,7 @@ def make_midpoint_result(
     if carrier is None:
         carrier = geodesic_carrier(builder.model, x, y, kind, builder.tol)
     residual_rho = abs(rho(builder.model, x, z) - rho(builder.model, z, y))
-    return tuple.__new__(MidpointResult, (z, trace, residual_rho, is_on(z, carrier, builder.tol).residual, None))
+    return tuple.__new__(MidpointResult, (z, trace, residual_rho, is_on(z, carrier), None))
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +166,11 @@ def _as_radius(value):
 
 
 def _as_selector(selector: Selector) -> Selector:
-    if selector.anchor is None or isinstance(selector.anchor, Point2):
+    anchor = selector.anchor
+    if anchor is None or isinstance(anchor, Point2):
         return selector
-    return Selector(selector.kind, _as_point(selector.anchor))
+    # nearer's anchor is a pair of points
+    return Selector(selector.kind, tuple(map(_as_point, anchor)) if isinstance(anchor, tuple) else _as_point(anchor))
 
 
 # kind -> (types passed on unchanged, coercion of any other value)
@@ -253,11 +255,11 @@ def _radius_ortho_intersection(line: Line2, circle: Circle2, selector: Selector,
 
 def _orthogonal(a, b, tol: Tolerance) -> float:
     if isinstance(a, Circle2) and isinstance(b, Circle2):
-        return circles_orthogonal(a, b, tol).residual
+        return circles_orthogonal(a, b)
     if isinstance(a, Line2) and isinstance(b, Line2):
-        return lines_orthogonal(a, b, tol).residual
+        return lines_orthogonal(a, b)
     line, circ = (a, b) if isinstance(a, Line2) else (b, a)
-    return line_circle_orthogonal(line, circ, tol).residual
+    return line_circle_orthogonal(line, circ)
 
 
 _P = "point"  # the commonest argument kind
@@ -278,10 +280,10 @@ OPS: dict[str, Op] = {
     "intersect": Op(_intersect, ("curve", "curve", "selector"), _P),
     "intersect_unit_ortho": Op(_unit_ortho_intersection, ("circle", "selector"), _P),
     "intersect_radius_ortho": Op(_radius_ortho_intersection, ("line", "circle", "selector"), _P),
-    "on": Op(lambda p, c, tol: is_on(p, c, tol).residual, (_P, "curve"), "residual"),
+    "on": Op(lambda p, c, tol: is_on(p, c), (_P, "curve"), "residual"),
     "orthogonal": Op(_orthogonal, ("curve", "curve"), "residual"),
-    "tangent": Op(lambda l, c, tol: line_tangent_to_circle(l, c, tol).residual, ("line", "circle"), "residual"),
-    "collinear": Op(lambda p, q, r, tol: collinear(p, q, r, tol).residual, (_P, _P, _P), "residual"),
+    "tangent": Op(lambda l, c, tol: line_tangent_to_circle(l, c), ("line", "circle"), "residual"),
+    "collinear": Op(lambda p, q, r, tol: collinear(p, q, r), (_P, _P, _P), "residual"),
     "equal_rho": Op(lambda m, a, b, c, d, tol: rho(m, a, b) - rho(m, c, d), ("model", _P, _P, _P, _P), "residual"),
     "equals": Op(lambda p, q, tol: (p - q).norm(), (_P, _P), "residual"),
 }

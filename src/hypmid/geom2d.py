@@ -9,8 +9,8 @@ Numeric conventions:
 
 * two tolerance tiers -- ``eps_degenerate`` decides branches ("is this
   degenerate?"), ``eps_incidence`` decides assertions ("is this satisfied?");
-* predicates return a signed residual normalized by input magnitude, so the
-  same threshold works at any scale;
+* predicates return a signed residual normalized by input magnitude, not a
+  verdict, so the caller's one threshold works at any scale;
 * every two-root intersection takes an explicit :class:`Selector`; there is
   no silent first-root convention.
 """
@@ -18,8 +18,6 @@ Numeric conventions:
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
-
 from .errors import (
     AmbiguousSelection,
     CenterInversion,
@@ -186,7 +184,8 @@ class Selector(Slotted):
     """Root selector for two-root intersections.
 
     ``kind`` is one of ``upper`` (x2 > 0), ``in_disk`` (|p| < 1),
-    ``boundary`` (on the real axis), ``nearest`` (anchor point required) or
+    ``boundary`` (on the real axis), ``nearest`` (anchor point required),
+    ``nearer`` (anchor a pair (p, q): the root strictly nearer p than q) or
     ``both`` (return the candidate tuple unfiltered).
     """
 
@@ -204,6 +203,16 @@ BOTH = Selector("both")
 
 def nearest_to(p: Point2) -> Selector:
     return Selector("nearest", p)
+
+
+def nearer(p: Point2, q: Point2) -> Selector:
+    """The root strictly nearer p than q.
+
+    ``nearer(x, y)`` picks the ideal end x_* of the geodesic through x and y:
+    the perpendicular bisector of [x, y] crosses the carrier once, between x
+    and y, so it puts the two ends on opposite sides.
+    """
+    return Selector("nearer", (p, q))
 
 
 def line_through(p: Point2, q: Point2, tol: Tolerance = DEFAULT_TOL) -> Line2:
@@ -290,6 +299,9 @@ def _apply_selector(candidates, selector: Selector, tol: Tolerance, scale: float
         kept = [p for p in candidates if math.hypot(p.x1, p.x2) < 1.0]
     elif kind == "boundary":
         kept = [p for p in candidates if abs(p.x2) <= tol.eps_incidence * (1.0 + abs(p.x1))]
+    elif kind == "nearer":
+        near, far = selector.anchor
+        kept = [p for p in candidates if math.hypot(p.x1 - near.x1, p.x2 - near.x2) < math.hypot(p.x1 - far.x1, p.x2 - far.x2)]
     else:
         raise ValueError(f"unknown selector kind {kind!r}")
     if len(kept) != 1:
@@ -400,48 +412,31 @@ def invert_in_circle(p: Point2, c: Circle2, tol: Tolerance = DEFAULT_TOL) -> Poi
     return c.center + d * (c.radius * c.radius / n2)
 
 
-class PredicateResult(NamedTuple):
-    """Boolean verdict plus the scale-normalized signed residual behind it."""
-
-    ok: bool
-    residual: float
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_on(p: Point2, carrier: Carrier, tol: Tolerance = DEFAULT_TOL) -> PredicateResult:
+def is_on(p: Point2, carrier: Carrier) -> float:
     if isinstance(carrier, Line2):
-        res = carrier.residual(p) / (1.0 + p.norm())
-    else:
-        res = carrier.residual(p) / (1.0 + carrier.radius)
-    return PredicateResult(abs(res) <= tol.eps_incidence, res)
+        return carrier.residual(p) / (1.0 + p.norm())
+    return carrier.residual(p) / (1.0 + carrier.radius)
 
 
-def circles_orthogonal(a: Circle2, b: Circle2, tol: Tolerance = DEFAULT_TOL) -> PredicateResult:
+def circles_orthogonal(a: Circle2, b: Circle2) -> float:
     d2 = (b.center - a.center).norm_sq()
     scale = 1.0 + d2 + a.radius * a.radius + b.radius * b.radius
-    res = (d2 - a.radius * a.radius - b.radius * b.radius) / scale
-    return PredicateResult(abs(res) <= tol.eps_incidence, res)
+    return (d2 - a.radius * a.radius - b.radius * b.radius) / scale
 
 
-def line_tangent_to_circle(l: Line2, c: Circle2, tol: Tolerance = DEFAULT_TOL) -> PredicateResult:
-    res = (abs(l.residual(c.center)) - c.radius) / (1.0 + c.radius)
-    return PredicateResult(abs(res) <= tol.eps_incidence, res)
+def line_tangent_to_circle(l: Line2, c: Circle2) -> float:
+    return (abs(l.residual(c.center)) - c.radius) / (1.0 + c.radius)
 
 
-def collinear(p: Point2, q: Point2, r: Point2, tol: Tolerance = DEFAULT_TOL) -> PredicateResult:
+def collinear(p: Point2, q: Point2, r: Point2) -> float:
     u, v = q - p, r - p
-    res = u.cross(v) / (1.0 + u.norm() * v.norm())
-    return PredicateResult(abs(res) <= tol.eps_incidence, res)
+    return u.cross(v) / (1.0 + u.norm() * v.norm())
 
 
-def lines_orthogonal(a: Line2, b: Line2, tol: Tolerance = DEFAULT_TOL) -> PredicateResult:
-    res = a.n.dot(b.n)
-    return PredicateResult(abs(res) <= tol.eps_incidence, res)
+def lines_orthogonal(a: Line2, b: Line2) -> float:
+    return a.n.dot(b.n)
 
 
-def line_circle_orthogonal(l: Line2, c: Circle2, tol: Tolerance = DEFAULT_TOL) -> PredicateResult:
+def line_circle_orthogonal(l: Line2, c: Circle2) -> float:
     """A line meets a circle orthogonally iff it passes through the center."""
-    res = l.residual(c.center) / (1.0 + c.radius)
-    return PredicateResult(abs(res) <= tol.eps_incidence, res)
+    return l.residual(c.center) / (1.0 + c.radius)

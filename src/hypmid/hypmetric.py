@@ -11,11 +11,11 @@ point that takes a pair decides it once (a method's precondition, ``auto``'s
 routing, the oracle, :func:`geodesic_of`) and hands the
 :class:`PairKind` on, so :func:`geodesic_carrier` takes it instead of
 deciding again.  :func:`geodesic_of` adds the ordered ideal endpoints, which
-the ``.hgc`` ``geodesic`` op and :func:`rho_via_cross_ratio` read; the
-constructions order theirs on the carrier they have recorded, with
-:func:`arc_ends` (disk) or :func:`semicircle_ends` (half-plane).  The
-midpoint oracle is one symmetric closed form per model, evaluated without
-cancellation; it builds no carrier.
+the ``.hgc`` ``geodesic`` op and :func:`rho_via_cross_ratio` read.  Like the
+constructions, it takes x_* as the end nearer x than y, by the
+:func:`~hypmid.geom2d.nearer` selector.  The midpoint oracle is one
+symmetric closed form per model, evaluated without cancellation; it builds
+no carrier.
 """
 
 from __future__ import annotations
@@ -44,7 +44,9 @@ from .geom2d import (
     Point2,
     Slotted,
     Tolerance,
+    _apply_selector,
     _two_product,
+    nearer,
 )
 from .moebius import INFINITY, ExtendedPoint, absolute_ratio
 
@@ -243,45 +245,23 @@ def geodesic_carrier(model: Model, x: Point2, y: Point2, kind: PairKind, tol: To
     return ortho_circle_through(x, y, tol).as_circle()
 
 
-def arc_ends(x: Point2, y: Point2, ortho: OrthoCircle) -> tuple[Point2, Point2]:
-    """Where the disk carrier ``ortho`` through x and y meets S1, as (x_*, y_*).
-
-    The ends are ordered so that x_*, x, y, y_* occur in this order along it.
-    """
-    e1, e2 = unit_circle_crossings(ortho.a)
-    tx, ty = signed_arc_angle(x, ortho), signed_arc_angle(y, ortho)
-    t1 = signed_arc_angle(e1, ortho)
-    if tx < ty:
-        return (e1, e2) if t1 < 0.0 else (e2, e1)
-    return (e1, e2) if t1 > 0.0 else (e2, e1)
-
-
-def semicircle_ends(x: Point2, y: Point2, carrier: Circle2) -> tuple[Point2, Point2]:
-    """Where the half-plane carrier through x and y meets the real axis, as (x_*, y_*).
-
-    The ends are ordered so that x_*, x, y, y_* occur in this order along it.
-    """
-    o1, r = carrier.center.x1, carrier.radius
-    right, left = Point2(o1 + r, 0.0), Point2(o1 - r, 0.0)
-    return (right, left) if math.atan2(x.x2, x.x1 - o1) < math.atan2(y.x2, y.x1 - o1) else (left, right)
-
-
-def geodesic_of(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Geodesic:
-    """Carrier and ordered ideal endpoints of the geodesic through x and y."""
-    kind = pair_kind(model, x, y, tol)
+def geodesic_of(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL, kind: PairKind | None = None) -> Geodesic:
+    """Carrier and ordered ideal endpoints of the geodesic through x and y; ``kind`` is the pair's case if decided."""
+    kind = kind or pair_kind(model, x, y, tol)
     carrier = geodesic_carrier(model, x, y, kind, tol)
     if model is Model.HALF_PLANE:
         if kind is PairKind.LINE:
             foot = Point2(x.x1, 0.0)
-            ends = (foot, INFINITY) if x.x2 < y.x2 else (INFINITY, foot)
-        else:
-            ends = semicircle_ends(x, y, carrier)
+            return Geodesic(model, carrier, (foot, INFINITY) if x.x2 < y.x2 else (INFINITY, foot))
+        o1, r = carrier.center.x1, carrier.radius
+        ends = [Point2(o1 + r, 0.0), Point2(o1 - r, 0.0)]
     elif kind is PairKind.LINE:
-        d = -carrier.direction()  # the unit vector from x towards y
-        ends = (-d, d) if x.dot(d) < y.dot(d) else (d, -d)
+        ends = [carrier.direction(), -carrier.direction()]
     else:
-        ends = arc_ends(x, y, OrthoCircle(carrier.center, carrier.radius))
-    return Geodesic(model, carrier, ends)
+        ends = list(unit_circle_crossings(carrier.center))
+    # the two ends are distinct, so scale 0 merges none of them
+    xsub = _apply_selector(ends, nearer(x, y), tol, 0.0)
+    return Geodesic(model, carrier, (xsub, ends[1] if xsub is ends[0] else ends[0]))
 
 
 def rho_via_cross_ratio(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> float:

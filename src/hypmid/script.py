@@ -14,7 +14,7 @@ Statement forms::
                 | circle_diameter(A, B) | ortho_circle(A, B)
     geodesic NAME = geodesic(h2|b2, A, B)
     NAME = intersect(A, B) | intersect_unit_ortho(C) | intersect_radius_ortho(L, C)
-           select upper|in_disk|boundary|nearest P
+           select upper|in_disk|boundary|nearest P|nearer P than Q
     NAME = invert(P) | reflect_real(P) | midpoint_oracle(h2|b2, A, B)
     assert on(P, C) | orthogonal(A, B) | tangent(L, C) | collinear(P, Q, R)
          | equal_rho(h2|b2, A, B, C, D) | equals(P, Q)   [tol NUMBER]
@@ -114,7 +114,7 @@ class SelectorNode(Slotted):
 
     def __init__(self, kind: str, anchor=None):
         self.kind = kind
-        self.anchor = anchor  # Ref | PointLit | Call
+        self.anchor = anchor  # Ref | PointLit | Call, or a pair of them for nearer
 
 
 class Call(Slotted):
@@ -191,7 +191,7 @@ class Program(Slotted):
                 yield item
 
 
-_SELECTOR_KEYWORDS = ("upper", "in_disk", "boundary", "nearest")
+_SELECTOR_KEYWORDS = ("upper", "in_disk", "boundary", "nearest", "nearer")
 _BINDING_KEYWORDS = ("point", "line", "circle", "geodesic")
 _STATEMENT_STARTS = (*_BINDING_KEYWORDS, "assert", "output", "name")
 _MODEL_TAGS = ("h2", "b2")
@@ -327,6 +327,10 @@ class Parser:
         if keyword == "nearest":
             anchor, i = self._parse_arg(i + 1)
             return SelectorNode("nearest", anchor), i
+        if keyword == "nearer":
+            near, i = self._parse_arg(i + 1)
+            far, i = self._parse_arg(self._expect(i, "than"))
+            return SelectorNode("nearer", (near, far)), i
         return SelectorNode(keyword), i + 1
 
     def _finish(self, i: int) -> None:
@@ -425,6 +429,8 @@ def _fmt_node(node) -> str:
     if isinstance(node, SelectorNode):
         if node.kind == "nearest":
             return f"nearest {_fmt_node(node.anchor)}"
+        if node.kind == "nearer":
+            return f"nearer {_fmt_node(node.anchor[0])} than {_fmt_node(node.anchor[1])}"
         return node.kind
     if isinstance(node, Call):
         args = node.args
@@ -494,6 +500,8 @@ def _value(node, env: dict, tol: Tolerance):
         return run_op(node.fn, [_value(a, env, tol) for a in node.args], tol)
     if isinstance(node, SelectorNode):
         return Selector(node.kind, None if node.anchor is None else _value(node.anchor, env, tol))
+    if isinstance(node, tuple):  # the anchor pair of nearer
+        return (_value(node[0], env, tol), _value(node[1], env, tol))
     return node  # radius number or model tag
 
 

@@ -287,7 +287,7 @@ class TestRender:
         out = tmp_path / "g.svg"
         code, _, err = run(capsys, "render", "--script", corpus_path("h2_method_iii.hgc"), "--out", str(out))
         assert code == 0, err
-        # G is the script's only carrier, drawn in the carrier style
+        # the circle named carrier is the script's only one drawn in the carrier style
         assert out.read_text(encoding="utf-8").count(f'style="{DEFAULT_STYLES["carrier"]}"') == 1
 
     def test_script_with_failing_assertion(self, capsys, tmp_path):

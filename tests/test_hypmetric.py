@@ -139,6 +139,46 @@ class TestGeodesics:
         with pytest.raises(DegenerateInput):
             geodesic_of(Model.DISK, Point2(0.5, 0), Point2(0.5, 0))
 
+    # x_* is the end nearer x than y; check it against an independent order
+    # of x_*, x, y, y_* along the carrier on hard-band pairs
+    def test_disk_end_order_on_hard_bands(self):
+        rng = random.Random(25)
+        kinds = set()
+        for _ in range(400):
+            rx, ry = 1.0 - 10 ** rng.uniform(-9, -0.1), rng.uniform(0.05, 0.95)  # 1 - |x| down to 1e-9
+            delta = math.asin(10 ** rng.uniform(-9, -3))  # noncollinearity margin 1e-9...1e-3
+            delta = rng.choice((delta, math.pi - delta, rng.uniform(0.05, 3.0), 0.0, math.pi))  # 0, pi: diameters
+            t = rng.uniform(0, math.tau)
+            x, y = _polar(rx, t), _polar(ry, t + rng.choice((-1, 1)) * delta)
+            try:
+                g = geodesic_of(Model.DISK, x, y)
+            except DegenerateInput:
+                continue
+            xs, ys = g.ideal_endpoints
+            if isinstance(g.carrier, Line2):
+                u = y - x
+                order = [p.dot(u) for p in (xs, x, y, ys)]
+            else:
+                ortho = OrthoCircle(g.carrier.center, g.carrier.radius)
+                order = [signed_arc_angle(p, ortho) for p in (xs, x, y, ys)]
+            assert order == sorted(order) or order == sorted(order, reverse=True), (x, y, order)
+            assert len(set(order)) == 4, (x, y, order)
+            kinds.add(type(g.carrier))
+        assert kinds == {Line2, Circle2}
+
+    def test_halfplane_end_order_on_hard_bands(self):
+        rng = random.Random(25)
+        for _ in range(400):
+            o1, r = rng.uniform(-5, 5), 10 ** rng.uniform(-3, 3)  # semicircles of radius 1e-3...1e3
+            a, b = (rng.choice((10 ** rng.uniform(-9, -1), rng.uniform(0.1, 3.0))) for _ in range(2))
+            a, b = rng.choice(((a, math.pi - b), (math.pi - a, b), (a, b + 0.05)))
+            x, y = Point2(o1 + r * math.cos(a), r * math.sin(a)), Point2(o1 + r * math.cos(b), r * math.sin(b))
+            g = geodesic_of(Model.HALF_PLANE, x, y)
+            xs, ys = g.ideal_endpoints
+            order = [math.atan2(p.x2, p.x1 - o1) for p in (xs, x, y, ys)]
+            assert order == sorted(order) or order == sorted(order, reverse=True), (x, y, order)
+            assert len(set(order)) == 4, (x, y, order)
+
 
 class TestCrossRatioDistance:
     def test_vertical_example(self):
@@ -279,7 +319,7 @@ class TestOracle:
             g = geodesic_of(Model.HALF_PLANE, x, y)
             from hypmid.geom2d import is_on
 
-            assert abs(is_on(m, g.carrier).residual) <= 1e-9
+            assert abs(is_on(m, g.carrier)) <= 1e-9
 
     @pytest.mark.parametrize(
         ("model", "x", "y", "error"),

@@ -11,8 +11,9 @@ from hypmid import script
 from hypmid.constructions import midpoint
 from hypmid.constructions.trace import OPS
 from hypmid.errors import GeometryError
-from hypmid.geom2d import Point2
+from hypmid.geom2d import Point2, Selector
 from hypmid.hypmetric import Model
+from hypmid.sweeps import MAX_MODULUS, sample_disk_pair, sample_h2_carrier_pair
 
 BROKEN_DIR = pathlib.Path(__file__).parent / "fixtures" / "broken"
 
@@ -303,6 +304,69 @@ class TestCorpus:
         assert (z - midpoint(Model.HALF_PLANE, x, y, method).z).norm() <= 1e-9
 
 
+# each rewritten corpus script is its library method's steps, in order
+METHOD_SCRIPTS = {
+    **{f"b2_method_{m.lower()}.hgc": (Model.DISK, m) for m in ("I", "II", "III", "IV", "V", "VI")},
+    "b2_equal_moduli.hgc": (Model.DISK, "equal"),
+    **{f"h2_method_{m.lower()}.hgc": (Model.HALF_PLANE, m) for m in ("I", "II", "III", "IV")},
+}
+
+
+def _seeded_pairs(model: Model, method: str, n: int = 200) -> list:
+    rng = random.Random(f"{model.value}/{method}")
+    pairs = []
+    for _ in range(n):
+        if model is Model.HALF_PLANE:
+            x, y, _, _ = sample_h2_carrier_pair(rng)
+        elif method == "equal":
+            r, a = rng.uniform(0.05, MAX_MODULUS), rng.uniform(0.0, math.tau)
+            b = a + rng.choice((-1.0, 1.0)) * rng.uniform(0.05, math.pi - 0.05)
+            x, y = Point2(r * math.cos(a), r * math.sin(a)), Point2(r * math.cos(b), r * math.sin(b))
+        else:
+            x, y = sample_disk_pair(rng)  # any angle at 0, so acute ones too
+        pairs.append((x, y))
+    return pairs
+
+
+def _selector_of(node, env: dict) -> Selector:
+    """The selector a script's select clause evaluates to, its anchors looked up by name."""
+    if isinstance(node.anchor, tuple):
+        return Selector(node.kind, tuple(env[a.name] for a in node.anchor))
+    return Selector(node.kind, None if node.anchor is None else env[node.anchor.name])
+
+
+@pytest.mark.parametrize("name", sorted(METHOD_SCRIPTS))
+def test_method_script_runs_its_library_method(name):
+    model, method = METHOD_SCRIPTS[name]
+    program = script.parse((resources.files("hypmid") / "corpus" / name).read_text(encoding="utf-8"))
+    lines = {b.name: b.expr for b in program.statements() if isinstance(b, script.Binding)}
+    shipped = tuple(Point2(lines[n].x, lines[n].y) for n in ("x", "y"))
+    ran = acute = 0
+    for x, y in [shipped, *_seeded_pairs(model, method)]:
+        try:
+            res = midpoint(model, x, y, method)
+        except GeometryError:
+            continue
+        result = script.evaluate(program, bind={"x": x, "y": y})
+        env = result.bindings
+        produced = [step.produces for step in res.trace.steps]
+        assert [n for n in lines if n in produced] == produced  # in the library's order
+        for step in res.trace.steps:
+            # the same op on the same names, with the same selector rule, binds the same value
+            expr = lines[step.produces]
+            args = [a for a in expr.args if not isinstance(a, script.SelectorNode)]
+            selects = tuple(_selector_of(a, env) for a in expr.args if isinstance(a, script.SelectorNode))
+            assert (expr.fn, tuple(a.name for a in args), selects) == (step.kind, step.inputs, step.data), step
+            assert env[step.produces] == step.result, (x, y, step.produces)
+        assert result.outputs == (("z", res.z),)
+        failed = [a for a in result.assertions if not a.passed]
+        assert not failed, (x, y, failed)
+        ran += 1
+        acute += x.dot(y) > 0.0
+    assert ran >= 190
+    assert model is Model.HALF_PLANE or acute >= 50
+
+
 def diagnosis(source: str) -> tuple:
     """What parsing ``source`` reports: (type, line, column, found, expected), or (type, line, name)."""
     with pytest.raises(script.ScriptError) as err:
@@ -316,7 +380,7 @@ def diagnosis(source: str) -> tuple:
 SYNTAX = script.ScriptSyntaxError
 ALL_FNS = tuple(sorted(OPS))
 ARGUMENT = ("name", "number", "(", ")")
-SELECTORS = ("upper", "in_disk", "boundary", "nearest")
+SELECTORS = ("upper", "in_disk", "boundary", "nearest", "nearer")
 STATEMENTS = ("point", "line", "circle", "geodesic", "assert", "output", "name")
 
 # each fixture's whole diagnosis: (type, line, column, found, expected), or (type, line, name)

@@ -134,11 +134,11 @@ def rho_halfplane(x: Point2, y: Point2) -> float:
 
 
 def rho_disk(x: Point2, y: Point2) -> float:
-    """Disk distance via sinh(rho/2) = |x-y| / sqrt((1-|x|^2)(1-|y|^2))."""
+    """Disk distance via sinh(rho/2) = |x-y| / sqrt((1-|x|^2)(1-|y|^2)), each 1-|p|^2 compensated."""
     x1, x2, y1, y2 = x.x1, x.x2, y.x1, y.x2
     if not (math.hypot(x1, x2) < 1.0 and math.hypot(y1, y2) < 1.0):
         require_in_domain(Model.DISK, x, y)
-    t = math.hypot(x1 - y1, x2 - y2) / math.sqrt((1.0 - (x1 * x1 + x2 * x2)) * (1.0 - (y1 * y1 + y2 * y2)))
+    t = math.hypot(x1 - y1, x2 - y2) / math.sqrt(_one_minus_dot(x1, x2, x1, x2) * _one_minus_dot(y1, y2, y1, y2))
     return 2.0 * math.asinh(t)
 
 

@@ -446,6 +446,20 @@ def test_oracle_accuracy_against_50_digit_reference(band):
             assert err <= 1e-14, (p, q, err)
 
 
+@pytest.mark.parametrize("d", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+def test_rho_disk_near_the_boundary_against_50_digits(d):
+    # x with 1 - |x| in [d, 10 d], y with 1 - |y| in [1e-3, 0.9]; absolute error on the same floats
+    ctx = mpmath.MPContext()
+    ctx.dps = 50
+    rng = random.Random(f"rho/{d}")
+    for _ in range(300):
+        x = _polar(1 - d * 10 ** rng.uniform(0, 1), rng.uniform(0, math.tau))
+        y = _polar(1 - 10 ** rng.uniform(-3, math.log10(0.9)), rng.uniform(0, math.tau))
+        a, b = ctx.mpc(x.x1, x.x2), ctx.mpc(y.x1, y.x2)
+        ref = 2 * ctx.asinh(abs(a - b) / ctx.sqrt((1 - abs(a) ** 2) * (1 - abs(b) ** 2)))
+        assert abs(rho_disk(x, y) - ref) <= 1e-14, (x, y)
+
+
 class TestProjection:
     def test_spec_points(self):
         assert projection_pr(Point2(0.5, math.sqrt(0.75))).close_to(Point2(0.5, 0), 1e-12)

@@ -18,6 +18,7 @@ Numeric conventions:
 from __future__ import annotations
 
 import math
+
 from .errors import (
     AmbiguousSelection,
     CenterInversion,

@@ -38,7 +38,8 @@ from ..geom2d import (
 from ..hypmetric import (
     Model,
     PairKind,
-    geodesic_of,
+    geodesic_carrier,
+    ideal_ends,
     midpoint_halfplane_unitcircle,
     ortho_circle_through,
     require_case,
@@ -141,11 +142,11 @@ def lemma31_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> dict[s
 def lemma46_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> dict[str, float | None]:
     """Disk bisector-circle claims plus the shared-line and inversion-pair claims."""
     w, r_w = bisector_circle(x, y, tol)  # refuses all but a generic pair
-    g = geodesic_of(Model.DISK, x, y, tol, PairKind.GENERIC)
-    a, sa = g.carrier.center, g.carrier
+    sa = geodesic_carrier(Model.DISK, x, y, PairKind.GENERIC, tol)
+    a = sa.center
     sw = Circle2(w, r_w)
     xsup, ysup = invert_unit(x, tol), invert_unit(y, tol)
-    xsub, ysub = g.ideal_endpoints
+    xsub, ysub = ideal_ends(Model.DISK, sa, x, y)
     z = intersect_circle_circle(sw, sa, IN_DISK, tol)
     lz = line_through(ORIGIN, z, tol)
 
@@ -189,10 +190,9 @@ def prop47_report(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> dict[st
     """Circumcircle claims: collinearity always; midpoint/orthogonality/ratio
     equality only when the arc x^*, x, y, y^* is a semicircle."""
     require_case(Model.DISK, x, y, (PairKind.GENERIC,), tol)
-    g = geodesic_of(Model.DISK, x, y, tol, PairKind.GENERIC)
-    sa = g.carrier
+    sa = geodesic_carrier(Model.DISK, x, y, PairKind.GENERIC, tol)
     xsup, ysup = invert_unit(x, tol), invert_unit(y, tol)
-    xsub, ysub = g.ideal_endpoints
+    xsub, ysub = ideal_ends(Model.DISK, sa, x, y)
 
     b = intersect_line_line(line_through(xsub, y, tol), line_through(x, ysup, tol), tol)
     d = intersect_line_line(line_through(xsup, y, tol), line_through(xsub, ysup, tol), tol)

@@ -169,8 +169,12 @@ def _as_selector(selector: Selector) -> Selector:
     anchor = selector.anchor
     if anchor is None or isinstance(anchor, Point2):
         return selector
-    # nearer's anchor is a pair of points
-    return Selector(selector.kind, tuple(map(_as_point, anchor)) if isinstance(anchor, tuple) else _as_point(anchor))
+    if isinstance(anchor, tuple):  # nearer's anchor is a pair of points
+        near, far = anchor
+        if isinstance(near, Point2) and isinstance(far, Point2):
+            return selector
+        return Selector(selector.kind, (_as_point(near), _as_point(far)))
+    return Selector(selector.kind, _as_point(anchor))
 
 
 # kind -> (types passed on unchanged, coercion of any other value)

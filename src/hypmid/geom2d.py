@@ -207,13 +207,23 @@ def nearest_to(p: Point2) -> Selector:
 
 
 def nearer(p: Point2, q: Point2) -> Selector:
-    """The root strictly nearer p than q.
+    """The root strictly nearer p than q, by :func:`nearer_than`.
 
     ``nearer(x, y)`` picks the ideal end x_* of the geodesic through x and y:
     the perpendicular bisector of [x, y] crosses the carrier once, between x
     and y, so it puts the two ends on opposite sides.
     """
     return Selector("nearer", (p, q))
+
+
+def nearer_than(p: Point2, near: Point2, far: Point2) -> bool:
+    """Whether p lies strictly on near's side of the bisector of [near, far].
+
+    The sign of (p - m).(far - near), m the midpoint, cancels inside one
+    well-scaled dot product; two distances to a far-off p would round alike.
+    """
+    d1, d2 = far.x1 - near.x1, far.x2 - near.x2
+    return (p.x1 - 0.5 * (near.x1 + far.x1)) * d1 + (p.x2 - 0.5 * (near.x2 + far.x2)) * d2 < 0.0
 
 
 def line_through(p: Point2, q: Point2, tol: Tolerance = DEFAULT_TOL) -> Line2:
@@ -302,7 +312,7 @@ def _apply_selector(candidates, selector: Selector, tol: Tolerance, scale: float
         kept = [p for p in candidates if abs(p.x2) <= tol.eps_incidence * (1.0 + abs(p.x1))]
     elif kind == "nearer":
         near, far = selector.anchor
-        kept = [p for p in candidates if math.hypot(p.x1 - near.x1, p.x2 - near.x2) < math.hypot(p.x1 - far.x1, p.x2 - far.x2)]
+        kept = [p for p in candidates if nearer_than(p, near, far)]
     else:
         raise ValueError(f"unknown selector kind {kind!r}")
     if len(kept) != 1:

@@ -10,10 +10,10 @@ a pair outside them gets one typed refusal per mismatch.  Each public entry
 point that takes a pair decides it once (a method's precondition, ``auto``'s
 routing, the oracle, :func:`geodesic_of`) and hands the
 :class:`PairKind` on, so :func:`geodesic_carrier` takes it instead of
-deciding again.  :func:`geodesic_of` adds the ordered ideal endpoints, which
-the ``.hgc`` ``geodesic`` op and :func:`rho_via_cross_ratio` read.  Like the
-constructions, it takes x_* as the end nearer x than y, by the
-:func:`~hypmid.geom2d.nearer` selector.  The midpoint oracle is one
+deciding again.  :func:`geodesic_of` adds the ordered ideal endpoints from
+:func:`ideal_ends`, which the ``.hgc`` ``geodesic`` op and
+:func:`rho_via_cross_ratio` read.  Like the constructions, it takes x_* as
+the end nearer x than y, by :func:`~hypmid.geom2d.nearer_than`.  The midpoint oracle is one
 symmetric closed form per model, evaluated without cancellation; it builds
 no carrier.
 """
@@ -44,9 +44,8 @@ from .geom2d import (
     Point2,
     Slotted,
     Tolerance,
-    _apply_selector,
     _two_product,
-    nearer,
+    nearer_than,
 )
 from .moebius import INFINITY, ExtendedPoint, absolute_ratio
 
@@ -245,23 +244,30 @@ def geodesic_carrier(model: Model, x: Point2, y: Point2, kind: PairKind, tol: To
     return ortho_circle_through(x, y, tol).as_circle()
 
 
-def geodesic_of(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL, kind: PairKind | None = None) -> Geodesic:
-    """Carrier and ordered ideal endpoints of the geodesic through x and y; ``kind`` is the pair's case if decided."""
-    kind = kind or pair_kind(model, x, y, tol)
-    carrier = geodesic_carrier(model, x, y, kind, tol)
+def ideal_ends(model: Model, carrier: Carrier, x: Point2, y: Point2) -> tuple[ExtendedPoint, ExtendedPoint]:
+    """(x_*, y_*), the ideal ends of the geodesic of x and y on ``carrier``.
+
+    x_* is the end nearer x than y, by :func:`~hypmid.geom2d.nearer_than`;
+    a vertical ``h2`` line has its foot and infinity, ordered by height.
+    """
     if model is Model.HALF_PLANE:
-        if kind is PairKind.LINE:
+        if isinstance(carrier, Line2):
             foot = Point2(x.x1, 0.0)
-            return Geodesic(model, carrier, (foot, INFINITY) if x.x2 < y.x2 else (INFINITY, foot))
+            return (foot, INFINITY) if x.x2 < y.x2 else (INFINITY, foot)
         o1, r = carrier.center.x1, carrier.radius
-        ends = [Point2(o1 + r, 0.0), Point2(o1 - r, 0.0)]
-    elif kind is PairKind.LINE:
-        ends = [carrier.direction(), -carrier.direction()]
+        e1, e2 = Point2(o1 + r, 0.0), Point2(o1 - r, 0.0)
+    elif isinstance(carrier, Line2):
+        e1 = carrier.direction()
+        e2 = -e1
     else:
-        ends = list(unit_circle_crossings(carrier.center))
-    # the two ends are distinct, so scale 0 merges none of them
-    xsub = _apply_selector(ends, nearer(x, y), tol, 0.0)
-    return Geodesic(model, carrier, (xsub, ends[1] if xsub is ends[0] else ends[0]))
+        e1, e2 = unit_circle_crossings(carrier.center)
+    return (e1, e2) if nearer_than(e1, x, y) else (e2, e1)
+
+
+def geodesic_of(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Geodesic:
+    """Carrier and ordered ideal endpoints of the geodesic through x and y."""
+    carrier = geodesic_carrier(model, x, y, pair_kind(model, x, y, tol), tol)
+    return Geodesic(model, carrier, ideal_ends(model, carrier, x, y))
 
 
 def rho_via_cross_ratio(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> float:

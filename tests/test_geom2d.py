@@ -39,6 +39,8 @@ from hypmid.geom2d import (
     is_on,
     line_tangent_to_circle,
     line_through,
+    nearer,
+    nearer_than,
     nearest_to,
     perpendicular_through,
     reflect_in_line,
@@ -148,6 +150,21 @@ class TestIntersections:
         half = Line2(Point2(0.0, 1.0), 0.5)
         p = intersect_line_circle(half, UNIT, nearest_to(Point2(1, 0)))
         assert p.close_to(Point2(math.sqrt(0.75), 0.5), 1e-12)
+
+    def test_nearer_selector(self):
+        half = Line2(Point2(0.0, 1.0), 0.5)
+        p = intersect_line_circle(half, UNIT, nearer(Point2(1, 0), Point2(-1, 0)))
+        assert p.close_to(Point2(math.sqrt(0.75), 0.5), 1e-12)
+        with pytest.raises(AmbiguousSelection):  # both roots are nearer (0, 1) than (0, -1)
+            intersect_line_circle(half, UNIT, nearer(Point2(0, 1), Point2(0, -1)))
+
+    def test_nearer_than_far_off_point(self):
+        # p is 3e9 away: its distances to near and far differ by 1.5e-9 and
+        # round alike, but the bisector's side is clear
+        near, far = Point2(0.3, 2.0), Point2(0.300000001, 1.0)
+        p = Point2(-2999999918.0123425, 0.0)
+        assert math.hypot(p.x1 - near.x1, p.x2 - near.x2) == math.hypot(p.x1 - far.x1, p.x2 - far.x2)
+        assert nearer_than(p, near, far) and not nearer_than(p, far, near)
 
     def test_circle_circle_upper(self):
         other = Circle2(Point2(1, 0), 1.0)

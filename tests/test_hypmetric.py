@@ -13,11 +13,13 @@ from hypmid.errors import (
     CenterInversion,
     CollinearWithOrigin,
     DegenerateInput,
+    GeometryError,
     NotOnArc,
     NotOnUnitCircle,
     OutsideDomain,
 )
 from hypmid import hypmetric
+from hypmid.constructions.halfplane import h2_method_II
 from hypmid.geom2d import Circle2, Line2, Point2, invert_in_circle
 from hypmid.hypmetric import (
     Model,
@@ -178,6 +180,31 @@ class TestGeodesics:
             order = [math.atan2(p.x2, p.x1 - o1) for p in (xs, x, y, ys)]
             assert order == sorted(order) or order == sorted(order, reverse=True), (x, y, order)
             assert len(set(order)) == 4, (x, y, order)
+
+    # a nearly vertical pair has one end near its feet and one far off (radius
+    # up to about 1e12); the lower point is nearer the near end, in the library
+    # order and in h2 method II's selected steps
+    def test_halfplane_end_order_on_near_vertical_pairs(self):
+        rng = random.Random(25)
+
+        def near(p, x1):
+            return not is_infinite(p) and abs(p.x1 - x1) < 1.0
+
+        returned = 0
+        for _ in range(400):
+            x1, dx = rng.uniform(-5, 5), rng.choice((-1, 1)) * 10 ** rng.uniform(-11, -6)
+            x2, y2 = 10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-1, 1)
+            x, y = Point2(x1, x2), Point2(x1 + dx, y2)
+            xs, ys = geodesic_of(Model.HALF_PLANE, x, y).ideal_endpoints
+            assert near(xs, x1) == (x2 < y2) != near(ys, x1), (x, y, xs, ys)
+            try:
+                objects = dict(h2_method_II(x, y).trace.objects())
+            except GeometryError as err:  # the far-off carrier's own limits
+                assert "'nearer'" not in str(err), (x, y, err)
+                continue
+            assert near(objects["xs"], x1) == (x2 < y2) != near(objects["ys"], x1), (x, y)
+            returned += 1
+        assert returned >= 100
 
 
 class TestCrossRatioDistance:

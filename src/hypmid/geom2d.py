@@ -207,20 +207,17 @@ def nearest_to(p: Point2) -> Selector:
 
 
 def nearer(p: Point2, q: Point2) -> Selector:
-    """The root strictly nearer p than q, by :func:`nearer_than`.
-
-    ``nearer(x, y)`` picks the ideal end x_* of the geodesic through x and y:
-    the perpendicular bisector of [x, y] crosses the carrier once, between x
-    and y, so it puts the two ends on opposite sides.
-    """
+    """The root strictly nearer p than q, by :func:`nearer_than`; ``nearer(x, y)`` picks x_*."""
     return Selector("nearer", (p, q))
 
 
 def nearer_than(p: Point2, near: Point2, far: Point2) -> bool:
-    """Whether p lies strictly on near's side of the bisector of [near, far].
+    """Whether p lies strictly on near's side of the perpendicular bisector of [near, far].
 
-    The sign of (p - m).(far - near), m the midpoint, cancels inside one
-    well-scaled dot product; two distances to a far-off p would round alike.
+    The bisector of [x, y] crosses the geodesic through x and y once, between
+    them, so it puts the two ideal ends on opposite sides.  The sign of
+    (p - m).(far - near), m the midpoint, cancels inside one well-scaled dot
+    product, where two distances to a far-off p would round alike.
     """
     d1, d2 = far.x1 - near.x1, far.x2 - near.x2
     return (p.x1 - 0.5 * (near.x1 + far.x1)) * d1 + (p.x2 - 0.5 * (near.x2 + far.x2)) * d2 < 0.0

@@ -13,9 +13,9 @@ routing, the oracle, :func:`geodesic_of`) and hands the
 deciding again.  :func:`geodesic_of` adds the ordered ideal endpoints from
 :func:`ideal_ends`, which the ``.hgc`` ``geodesic`` op and
 :func:`rho_via_cross_ratio` read.  Like the constructions, it takes x_* as
-the end nearer x than y, by :func:`~hypmid.geom2d.nearer_than`.  The midpoint oracle is one
-symmetric closed form per model, evaluated without cancellation; it builds
-no carrier.
+the end nearer x than y, by :func:`~hypmid.geom2d.nearer_than`.  The
+midpoint oracle is one symmetric closed form per model, evaluated without
+cancellation; it builds no carrier.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ recorded traces, per-lemma diagnostic verifiers, a small construction script
 language (.hgc), randomized verification sweeps, and SVG rendering.
 """
 
-from .geom2d import DEFAULT_TOL, ORIGIN, Circle2, Line2, Point2, Tolerance
+from .geom2d import ORIGIN, Circle2, Line2, Point2
 from .hypmetric import (
     Geodesic,
     Model,
@@ -28,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Circle2",
-    "DEFAULT_TOL",
     "Geodesic",
     "INFINITY",
     "Line2",
@@ -37,7 +36,6 @@ __all__ = [
     "ORIGIN",
     "OrthoCircle",
     "Point2",
-    "Tolerance",
     "absolute_ratio",
     "geodesic_of",
     "midpoint",

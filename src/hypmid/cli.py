@@ -1,7 +1,8 @@
 """Command-line front end: midpoints, verification sweeps, scripts, figures.
 
-Exit codes: 0 success, 1 error, 2 construction inapplicable to the input
-(so pipelines can fall back to --method auto), 64 usage.
+Exit codes: 0 success, 1 error (``midpoint``: also a result that disagrees
+with the oracle), 2 construction inapplicable to the input (so pipelines can
+fall back to --method auto), 64 usage.
 
 Each command imports the modules it alone runs (``sweeps``, ``script``,
 ``render``) when it runs, so ``hypmid midpoint`` loads none of them.
@@ -11,13 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .constructions import AGREEMENT_TOL, METHOD_NAMES, METHODS, SUITES, MidpointResult, midpoint
+from .constructions import AGREEMENT_TOL, METHOD_NAMES, METHODS, ORACLE_FLAG_THRESHOLD, SUITES, MidpointResult, midpoint
 from .errors import GeometryError, MethodInapplicable
-from .geom2d import Point2, Tolerance
-from .hypmetric import Geodesic, Model
+from .geom2d import Point2
+from .hypmetric import Geodesic, Model, midpoint_oracle
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -60,21 +60,6 @@ def _attach_point_values(argv: list[str]) -> list[str]:
             out.append(arg)
             i += 1
     return out
-
-
-def default_tolerance() -> Tolerance:
-    """Default eps_incidence, overridable through the HYPMID_TOL variable.
-
-    A value that is not a number, or is below eps_degenerate, is a usage error.
-    """
-    env = os.environ.get("HYPMID_TOL")
-    if not env:
-        return Tolerance()
-    try:
-        return Tolerance(eps_incidence=float(env))
-    except ValueError as exc:
-        print(f"error: HYPMID_TOL={env!r}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from None
 
 
 def _lacks_method(model: Model, method: str) -> bool:
@@ -122,12 +107,11 @@ def _midpoint_json(model: Model, x: Point2, y: Point2, method: str, result: Midp
 
 
 def cmd_midpoint(args) -> int:
-    tol = default_tolerance()
     model = Model(args.model)
     if _lacks_method(model, args.method):
         return EXIT_USAGE
     try:
-        result = midpoint(model, args.x, args.y, args.method, tol)
+        result = midpoint(model, args.x, args.y, args.method)
     except MethodInapplicable as exc:
         payload = {"error": "MethodInapplicable", "reason": exc.reason, "detail": str(exc)}
         if exc.fallback is not None:
@@ -144,19 +128,27 @@ def cmd_midpoint(args) -> int:
         print(
             f"z = {_fmt_pt(result.z)}  method={result.trace.method_id}  "
             f"residual_rho={result.residual_equal_distance:.3e}  "
-            f"residual_carrier={result.residual_on_geodesic:.3e}"
+            f"residual_carrier={result.residual_on_geodesic:.3e}  "
+            f"oracle_distance={result.oracle_distance:.3e}"
         )
     else:
         print(json.dumps(_midpoint_json(model, args.x, args.y, args.method, result), sort_keys=True))
+    if result.oracle_disagrees():
+        oracle = midpoint_oracle(model, args.x, args.y)
+        print(
+            f"error: z disagrees with the oracle: oracle_distance={result.oracle_distance:.3e} > "
+            f"{ORACLE_FLAG_THRESHOLD:.0e}; the oracle's z = {_fmt_pt(oracle)}",
+            file=sys.stderr,
+        )
+        return EXIT_ERROR
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     from . import sweeps
 
-    tol = default_tolerance()
     cfg = sweeps.SweepConfig(samples=args.samples, seed=args.seed, tolerance=args.tol)
-    results = sweeps.run_suite(args.suite, cfg, tol)
+    results = sweeps.run_suite(args.suite, cfg)
     for r in results:
         print(r.line())
     failed = [r for r in results if not r.passed]
@@ -191,7 +183,6 @@ def _assertion_line(outcome) -> str:
 def cmd_script(args) -> int:
     from . import script
 
-    tol = default_tolerance()
     try:
         program = _load_script(args.file)
     except OSError as exc:
@@ -209,7 +200,7 @@ def cmd_script(args) -> int:
             sys.stdout.write(text)
         return EXIT_OK
     try:
-        result = script.evaluate(program, tol, bind=dict(args.bind or ()))
+        result = script.evaluate(program, bind=dict(args.bind or ()))
     except script.ScriptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -223,7 +214,6 @@ def cmd_script(args) -> int:
 def cmd_render(args) -> int:
     from . import render, script
 
-    tol = default_tolerance()
     if args.size <= 0:
         print("error: --size must be positive", file=sys.stderr)
         return EXIT_USAGE
@@ -232,7 +222,7 @@ def cmd_render(args) -> int:
     try:
         if args.script:
             program = _load_script(args.script)
-            result = script.evaluate(program, tol)
+            result = script.evaluate(program)
             failed = [outcome for outcome in result.assertions if not outcome.passed]
             svg = render.render_script_result(script.program_model(program), result.bindings, result.outputs, spec)
         else:
@@ -241,7 +231,7 @@ def cmd_render(args) -> int:
                 return EXIT_USAGE
             if _lacks_method(Model(args.model), args.method):
                 return EXIT_USAGE
-            result = midpoint(Model(args.model), args.x, args.y, args.method, tol)
+            result = midpoint(Model(args.model), args.x, args.y, args.method)
             svg = render.render_trace(result.trace, spec)
     except MethodInapplicable as exc:
         print(f"method inapplicable: {exc.reason}: {exc}", file=sys.stderr)

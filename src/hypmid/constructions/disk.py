@@ -10,12 +10,11 @@ from typing import NamedTuple
 
 from ..errors import ChainSaturated, DegenerateInput, MethodInapplicable, ParallelLines
 from ..geom2d import (
-    DEFAULT_TOL,
+    EPS_DEGENERATE,
     IN_DISK,
     ORIGIN,
     Circle2,
     Point2,
-    Tolerance,
     nearer,
     nearest_to,
 )
@@ -35,18 +34,18 @@ METHOD_CHORDS = {
 }
 
 
-def _builder(method_id: str, x: Point2, y: Point2, tol: Tolerance) -> TraceBuilder:
-    return TraceBuilder(Model.DISK, method_id, {"x": x, "y": y, "unit": UNIT_CIRCLE, "origin": ORIGIN}, tol)
+def _builder(method_id: str, x: Point2, y: Point2) -> TraceBuilder:
+    return TraceBuilder(Model.DISK, method_id, {"x": x, "y": y, "unit": UNIT_CIRCLE, "origin": ORIGIN})
 
 
-def bisector_circle(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> tuple[Point2, float]:
+def bisector_circle(x: Point2, y: Point2) -> tuple[Point2, float]:
     """Center and radius of the circle orthogonal to both S1 and S(a, r_a).
 
     w = (y(1-|x|^2) - x(1-|y|^2)) / (|y|^2 - |x|^2),
     r_w = |x-y| sqrt((1-|x|^2)(1-|y|^2)) / ||y|^2 - |x|^2|.
     Its intersection with the geodesic carrier is the hyperbolic midpoint.
     """
-    require_case(Model.DISK, x, y, (PairKind.GENERIC,), tol)
+    require_case(Model.DISK, x, y, (PairKind.GENERIC,))
     nx2, ny2 = x.norm_sq(), y.norm_sq()
     den = ny2 - nx2
     w = (y * (1.0 - nx2) - x * (1.0 - ny2)) * (1.0 / den)
@@ -54,14 +53,14 @@ def bisector_circle(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> tuple
     return w, r_w
 
 
-def b2_case1(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
+def b2_case1(x: Point2, y: Point2) -> MidpointResult:
     """Diameter case: z = L(m, n-bar) n L(m-bar, n) with chords at x and y.
 
     m, m-bar (and n, n-bar) are the unit-circle points of the chords through
     x (and y) perpendicular to the diameter; same-side points are paired.
     """
-    require_case(Model.DISK, x, y, (PairKind.LINE,), tol)
-    b = _builder("b2-case1", x, y, tol)
+    require_case(Model.DISK, x, y, (PairKind.LINE,))
+    b = _builder("b2-case1", x, y)
     ld = b.step("line", "x", "y", name="Ld", label="L(x,y)")
     side = ld.n  # unit normal; chord roots sit at +/- this direction
     b.step("perp", "Ld", "x", name="Lx", label="L(x)")
@@ -76,15 +75,15 @@ def b2_case1(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResu
     return make_midpoint_result(b, x, y, "z", PairKind.LINE)
 
 
-def b2_method_I(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
+def b2_method_I(x: Point2, y: Point2) -> MidpointResult:
     """Bisector-circle method: z = S(w, r_w) n S(a, r_a) inside the disk.
 
     w is drawn as L(x,y) n L(x*,y*); the radius r_w is taken with the
     compass as the tangent length from w to the unit circle (equivalent to
     orthogonality to S(a, r_a) because w.a = 1).
     """
-    require_case(Model.DISK, x, y, (PairKind.GENERIC,), tol)
-    b = _builder("b2-I", x, y, tol)
+    require_case(Model.DISK, x, y, (PairKind.GENERIC,))
+    b = _builder("b2-I", x, y)
     b.step("invert", "x", name="xsup", label="x^*")
     b.step("invert", "y", name="ysup", label="y^*")
     carrier = b.step("ortho_circle", "x", "y", name="carrier", label="S¹(a,r_a)")
@@ -101,7 +100,7 @@ def b2_method_I(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointR
     return make_midpoint_result(b, x, y, "z", PairKind.GENERIC, carrier)
 
 
-def b2_methods_II_to_VI(x: Point2, y: Point2, which: str, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
+def b2_methods_II_to_VI(x: Point2, y: Point2, which: str) -> MidpointResult:
     """Chord methods II-VI: z = L(0, g) n S(a, r_a) inside the disk.
 
     g is u, v, s, t or k, the intersection of two chords among x, y, the
@@ -109,9 +108,9 @@ def b2_methods_II_to_VI(x: Point2, y: Point2, which: str, tol: Tolerance = DEFAU
     """
     if which not in METHOD_CHORDS:
         raise ValueError(f"method must be one of {sorted(METHOD_CHORDS)}, got {which!r}")
-    require_case(Model.DISK, x, y, (PairKind.GENERIC,), tol)
+    require_case(Model.DISK, x, y, (PairKind.GENERIC,))
     label, (p1, q1), (p2, q2) = METHOD_CHORDS[which]
-    b = _builder(f"b2-{which}", x, y, tol)
+    b = _builder(f"b2-{which}", x, y)
     needed = {p1, q1, p2, q2}
     if "xsup" in needed:
         b.step("invert", "x", name="xsup", label="x^*")
@@ -128,21 +127,21 @@ def b2_methods_II_to_VI(x: Point2, y: Point2, which: str, tol: Tolerance = DEFAU
         g = b.step("intersect", "La", "Lb", name="g", label=label, select=nearest_to(x))
     except ParallelLines as exc:
         raise MethodInapplicable("ParallelLines", f"method {which} chords are parallel: {exc}") from exc
-    if g.norm() <= tol.eps_degenerate:
+    if g.norm() <= EPS_DEGENERATE:
         raise MethodInapplicable("AuxiliaryAtOrigin", f"auxiliary point {label} coincides with 0")
     b.step("line", "origin", "g", name="Lg", label=f"L(0,{label})")
     b.step("intersect_radius_ortho", "Lg", "carrier", name="z", select=IN_DISK)
     return make_midpoint_result(b, x, y, "z", PairKind.GENERIC, carrier)
 
 
-def b2_equal_moduli(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
+def b2_equal_moduli(x: Point2, y: Point2) -> MidpointResult:
     """Equal-moduli case: z = L(0, a) n S(a, r_a) inside the disk.
 
     With |x| = |y| the perpendicular to L(x,y) through 0 is exactly L(0, a),
     so no center needs to be extracted.
     """
-    require_case(Model.DISK, x, y, (PairKind.EQUAL_MODULI,), tol)
-    b = _builder("b2-equal-moduli", x, y, tol)
+    require_case(Model.DISK, x, y, (PairKind.EQUAL_MODULI,))
+    b = _builder("b2-equal-moduli", x, y)
     carrier = b.step("ortho_circle", "x", "y", name="carrier", label="S¹(a,r_a)")
     b.step("line", "x", "y", name="Lxy", label="L(x,y)")
     b.step("perp", "Lxy", "origin", name="La", label="L(0,a)")
@@ -159,7 +158,7 @@ class PointChain(NamedTuple):
     trace: ConstructionTrace
 
 
-def scale_sequence(x1: Point2, n: int, tol: Tolerance = DEFAULT_TOL) -> PointChain:
+def scale_sequence(x1: Point2, n: int) -> PointChain:
     """Chord construction multiplying the distance from the origin.
 
     Builds X_{k+1} from the chord through M_{k-1} (top of the perpendicular
@@ -170,9 +169,9 @@ def scale_sequence(x1: Point2, n: int, tol: Tolerance = DEFAULT_TOL) -> PointCha
     if n < 1:
         raise ValueError(f"chain length must be >= 1, got {n!r}")
     require_in_domain(Model.DISK, x1)
-    if x1.norm() <= tol.eps_degenerate:
+    if x1.norm() <= EPS_DEGENERATE:
         raise DegenerateInput("X1 must be distinct from the origin")
-    b = TraceBuilder(Model.DISK, "b2-chain", {"X1": x1, "unit": UNIT_CIRCLE, "origin": ORIGIN}, tol)
+    b = TraceBuilder(Model.DISK, "b2-chain", {"X1": x1, "unit": UNIT_CIRCLE, "origin": ORIGIN})
     axis = b.step("line", "origin", "X1", name="L0", label="L(0,X₁)")
     side = axis.n
     b.step("perp", "L0", "origin", name="K0", label="L_{0X₁}(0)")

@@ -14,18 +14,18 @@ Every result carries its Euclidean distance to the closed-form oracle.
 from __future__ import annotations
 
 from ..errors import CollinearWithOrigin, EqualModuli, GeometryError, MethodInapplicable, NotOnDiameter, NotVerticallyAligned
-from ..geom2d import DEFAULT_TOL, Point2, Tolerance
+from ..geom2d import Point2
 from ..hypmetric import Model, PairKind, midpoint_disk_angles, midpoint_oracle, pair_kind, require_case
 from . import disk, halfplane
 from .trace import MidpointResult, TraceBuilder, make_midpoint_result
 
 
-def _angles_result(x: Point2, y: Point2, tol: Tolerance) -> MidpointResult:
+def _angles_result(x: Point2, y: Point2) -> MidpointResult:
     # closed-form method: record the carrier for rendering, then the formula z;
     # off every diameter the carrier is S(a, r_a), for equal moduli too
-    require_case(Model.DISK, x, y, (PairKind.GENERIC, PairKind.EQUAL_MODULI), tol)
-    z = midpoint_disk_angles(x, y, tol)
-    b = TraceBuilder(Model.DISK, "b2-angles", {"x": x, "y": y, "unit": disk.UNIT_CIRCLE}, tol)
+    require_case(Model.DISK, x, y, (PairKind.GENERIC, PairKind.EQUAL_MODULI))
+    z = midpoint_disk_angles(x, y)
+    b = TraceBuilder(Model.DISK, "b2-angles", {"x": x, "y": y, "unit": disk.UNIT_CIRCLE})
     carrier = b.step("ortho_circle", "x", "y", name="carrier", label="S¹(a,r_a)")
     b.env["z"] = z
     return make_midpoint_result(b, x, y, "z", PairKind.GENERIC, carrier)
@@ -45,11 +45,11 @@ B2_METHODS = {
     "case1": disk.b2_case1,
     "equal": disk.b2_equal_moduli,
     "I": disk.b2_method_I,
-    "II": lambda x, y, tol: disk.b2_methods_II_to_VI(x, y, "II", tol),
-    "III": lambda x, y, tol: disk.b2_methods_II_to_VI(x, y, "III", tol),
-    "IV": lambda x, y, tol: disk.b2_methods_II_to_VI(x, y, "IV", tol),
-    "V": lambda x, y, tol: disk.b2_methods_II_to_VI(x, y, "V", tol),
-    "VI": lambda x, y, tol: disk.b2_methods_II_to_VI(x, y, "VI", tol),
+    "II": lambda x, y: disk.b2_methods_II_to_VI(x, y, "II"),
+    "III": lambda x, y: disk.b2_methods_II_to_VI(x, y, "III"),
+    "IV": lambda x, y: disk.b2_methods_II_to_VI(x, y, "IV"),
+    "V": lambda x, y: disk.b2_methods_II_to_VI(x, y, "V"),
+    "VI": lambda x, y: disk.b2_methods_II_to_VI(x, y, "VI"),
     "angles": _angles_result,
 }
 
@@ -73,13 +73,7 @@ AUTO_METHOD = {
 }
 
 
-def midpoint(
-    model: Model,
-    x: Point2,
-    y: Point2,
-    method: str = "auto",
-    tol: Tolerance = DEFAULT_TOL,
-) -> MidpointResult:
+def midpoint(model: Model, x: Point2, y: Point2, method: str = "auto") -> MidpointResult:
     """Construct the hyperbolic midpoint of the segment from x to y.
 
     Returns the construction result with ``oracle_distance`` filled in, its
@@ -88,21 +82,21 @@ def midpoint(
     """
     requested = method
     if method == "auto":
-        method = AUTO_METHOD[model][pair_kind(model, x, y, tol)]
+        method = AUTO_METHOD[model][pair_kind(model, x, y)]
     table = METHODS[model]
     run = table.get(method)
     if run is None:
         raise ValueError(f"unknown {model.value} method {method!r}; expected one of auto, {', '.join(table)}")
     try:
         try:
-            result = run(x, y, tol)
+            result = run(x, y)
         except _REFUSALS as refusal:
             raise MethodInapplicable(type(refusal).__name__, str(refusal)) from refusal
     except MethodInapplicable as exc:
         if requested != "auto":
             try:
-                exc.fallback = midpoint(model, x, y, "auto", tol)
+                exc.fallback = midpoint(model, x, y, "auto")
             except GeometryError:
                 pass  # auto refuses the pair too: no fallback
         raise
-    return tuple.__new__(MidpointResult, (*result[:4], (result.z - midpoint_oracle(model, x, y, tol)).norm()))
+    return tuple.__new__(MidpointResult, (*result[:4], (result.z - midpoint_oracle(model, x, y)).norm()))

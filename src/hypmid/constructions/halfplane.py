@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from ..errors import MethodInapplicable
 from ..geom2d import (
-    DEFAULT_TOL,
+    EPS_DEGENERATE,
     UPPER,
     Line2,
     Point2,
-    Tolerance,
     nearer,
     nearest_to,
 )
@@ -24,8 +23,8 @@ from .trace import MidpointResult, TraceBuilder, make_midpoint_result
 AXIS = Line2(Point2(0.0, 1.0), 0.0)
 
 
-def _builder(method_id: str, x: Point2, y: Point2, tol: Tolerance) -> TraceBuilder:
-    return TraceBuilder(Model.HALF_PLANE, method_id, {"x": x, "y": y, "axis": AXIS}, tol)
+def _builder(method_id: str, x: Point2, y: Point2) -> TraceBuilder:
+    return TraceBuilder(Model.HALF_PLANE, method_id, {"x": x, "y": y, "axis": AXIS})
 
 
 def _carrier_circle(b: TraceBuilder):
@@ -38,7 +37,7 @@ def _carrier_circle(b: TraceBuilder):
     return b.step("circle_through", "x", "y", "xbar", name="carrier", label="S¹(o,r)")
 
 
-def h2_case1(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
+def h2_case1(x: Point2, y: Point2) -> MidpointResult:
     """Vertical-geodesic bisection; the result satisfies (Im z)^2 = Im x * Im y.
 
     Steps: the line through x and y, its boundary foot o, the circle on
@@ -46,10 +45,10 @@ def h2_case1(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResu
     itself constructed), the circle around o through their intersection, and
     finally its upper intersection with the line.
     """
-    require_case(Model.HALF_PLANE, x, y, (PairKind.LINE,), tol)
+    require_case(Model.HALF_PLANE, x, y, (PairKind.LINE,))
     if x.x2 > y.x2:
         x, y = y, x
-    b = _builder("h2-case1", x, y, tol)
+    b = _builder("h2-case1", x, y)
     b.step("line", "x", "y", name="Lxy", label="L(x,y)")
     b.step("intersect", "Lxy", "axis", name="o", select=nearest_to(x))
     b.step("circle_diameter", "x", "y", name="C1", label="S¹((x+y)/2,|x-y|/2)")
@@ -71,16 +70,16 @@ def h2_case1(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResu
     return make_midpoint_result(b, x, y, "z", PairKind.LINE)
 
 
-def h2_method_I(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
+def h2_method_I(x: Point2, y: Point2) -> MidpointResult:
     """Tangent-circle method: z on the circle with diameter [w, o].
 
     w is the boundary point of the chord L(x, y); the method is inapplicable
     when the chord is parallel to the boundary (equal heights).
     """
-    require_case(Model.HALF_PLANE, x, y, (PairKind.GENERIC,), tol)
-    if abs(x.x2 - y.x2) <= tol.eps_degenerate * (1.0 + x.norm() + y.norm()):
+    require_case(Model.HALF_PLANE, x, y, (PairKind.GENERIC,))
+    if abs(x.x2 - y.x2) <= EPS_DEGENERATE * (1.0 + x.norm() + y.norm()):
         raise MethodInapplicable("ParallelChord", "L(x,y) is parallel to the boundary; w does not exist")
-    b = _builder("h2-I", x, y, tol)
+    b = _builder("h2-I", x, y)
     carrier = _carrier_circle(b)
     b.step("line", "x", "y", name="Lxy", label="L(x,y)")
     b.step("intersect", "Lxy", "axis", name="w", select=nearest_to(x))
@@ -89,10 +88,10 @@ def h2_method_I(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointR
     return make_midpoint_result(b, x, y, "z", PairKind.GENERIC)
 
 
-def h2_method_II(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
+def h2_method_II(x: Point2, y: Point2) -> MidpointResult:
     """Ideal-chord method: z above v = L(x, x_*) n L(y, y_*)."""
-    require_case(Model.HALF_PLANE, x, y, (PairKind.GENERIC,), tol)
-    b = _builder("h2-II", x, y, tol)
+    require_case(Model.HALF_PLANE, x, y, (PairKind.GENERIC,))
+    b = _builder("h2-II", x, y)
     _carrier_circle(b)
     b.step("intersect", "carrier", "axis", name="xs", label="x_*", select=nearer(x, y))
     b.step("intersect", "carrier", "axis", name="ys", label="y_*", select=nearer(y, x))
@@ -104,14 +103,14 @@ def h2_method_II(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Midpoint
     return make_midpoint_result(b, x, y, "z", PairKind.GENERIC)
 
 
-def h2_method_III(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
+def h2_method_III(x: Point2, y: Point2) -> MidpointResult:
     """Orthogonal-circle method: z below the center a of S(a, r_a).
 
     S(a, r_a) passes through x, y orthogonally to the carrier, so its center
     is the intersection of the carrier tangents at x and y.
     """
-    require_case(Model.HALF_PLANE, x, y, (PairKind.GENERIC,), tol)
-    b = _builder("h2-III", x, y, tol)
+    require_case(Model.HALF_PLANE, x, y, (PairKind.GENERIC,))
+    b = _builder("h2-III", x, y)
     _carrier_circle(b)
     b.step("line", "carrier", "x", name="Lox", label="L(o,x)")
     b.step("line", "carrier", "y", name="Loy", label="L(o,y)")
@@ -124,10 +123,10 @@ def h2_method_III(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Midpoin
     return make_midpoint_result(b, x, y, "z", PairKind.GENERIC)
 
 
-def h2_method_IV(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> MidpointResult:
+def h2_method_IV(x: Point2, y: Point2) -> MidpointResult:
     """Reflected-chord method: z above z1 = L(x, y-bar) n L(x-bar, y)."""
-    require_case(Model.HALF_PLANE, x, y, (PairKind.GENERIC,), tol)
-    b = _builder("h2-IV", x, y, tol)
+    require_case(Model.HALF_PLANE, x, y, (PairKind.GENERIC,))
+    b = _builder("h2-IV", x, y)
     _carrier_circle(b)  # also produces xbar
     b.step("reflect_real", "y", name="ybar", label="ȳ")
     b.step("line", "x", "ybar", name="L1", label="L(x,ȳ)")

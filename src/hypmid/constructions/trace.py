@@ -24,12 +24,11 @@ from typing import NamedTuple
 from ..errors import GeometryError, NoIntersection
 from ..geom2d import (
     BOTH,
-    DEFAULT_TOL,
+    EPS_INCIDENCE,
     Circle2,
     Line2,
     Point2,
     Selector,
-    Tolerance,
     _apply_selector,
     circle_on_diameter,
     circle_through,
@@ -124,7 +123,7 @@ def make_midpoint_result(
     z = builder.env[z_name]
     trace = builder.finish(z_name)
     if carrier is None:
-        carrier = geodesic_carrier(builder.model, x, y, kind, builder.tol)
+        carrier = geodesic_carrier(builder.model, x, y, kind)
     residual_rho = abs(rho(builder.model, x, z) - rho(builder.model, z, y))
     return tuple.__new__(MidpointResult, (z, trace, residual_rho, is_on(z, carrier), None))
 
@@ -192,8 +191,7 @@ _KINDS = {
 class Op:
     """One primitive: its callable, argument kinds and result kind.
 
-    ``fn`` takes the arguments, coerced to ``kinds``, then the tolerance.  The
-    ``result`` kind is point, line, circle, geodesic or residual (an assertion).
+    ``fn`` takes the arguments, coerced to ``kinds``.  The ``result`` kind is point, line, circle, geodesic or residual (an assertion).
     """
 
     __slots__ = ("fn", "kinds", "result", "_coerce")
@@ -213,36 +211,36 @@ class Op:
 _AXIS_NORMAL = Point2(0.0, 1.0)
 
 
-def _circle(center: Point2, through, tol: Tolerance) -> Circle2:
+def _circle(center: Point2, through) -> Circle2:
     radius = through if isinstance(through, float) else (through - center).norm()
     return Circle2(center, radius)
 
 
-def _intersect(a, b, selector: Selector, tol: Tolerance):
+def _intersect(a, b, selector: Selector):
     if isinstance(a, Line2):
         if isinstance(b, Line2):
-            value = intersect_line_line(a, b, tol)
-            return _apply_selector([value], selector, tol, 1.0 + value.norm())
-        return intersect_line_circle(a, b, selector, tol)
+            value = intersect_line_line(a, b)
+            return _apply_selector([value], selector, 1.0 + value.norm())
+        return intersect_line_circle(a, b, selector)
     if isinstance(b, Line2):
-        return intersect_line_circle(b, a, selector, tol)
-    return intersect_circle_circle(a, b, selector, tol)
+        return intersect_line_circle(b, a, selector)
+    return intersect_circle_circle(a, b, selector)
 
 
-def _unit_ortho_intersection(circle: Circle2, selector: Selector, tol: Tolerance):
+def _unit_ortho_intersection(circle: Circle2, selector: Selector):
     """Intersect a circle orthogonal to S1 with S1 via its radical line p.a = 1."""
     if circle.center.norm_sq() < 1.0:
         raise NoIntersection("the radical line p.a = 1 misses the unit circle")
-    return _apply_selector(list(unit_circle_crossings(circle.center)), selector, tol, 1.0 + circle.radius)
+    return _apply_selector(list(unit_circle_crossings(circle.center)), selector, 1.0 + circle.radius)
 
 
-def _radius_ortho_intersection(line: Line2, circle: Circle2, selector: Selector, tol: Tolerance):
+def _radius_ortho_intersection(line: Line2, circle: Circle2, selector: Selector):
     """Intersect a line through 0 with a circle orthogonal to S1.
 
     The intersection points form an inversion pair t, 1/t along the line,
     which sidesteps the half-chord cancellation on near-straight carriers.
     """
-    if abs(line.c) > tol.eps_incidence:
+    if abs(line.c) > EPS_INCIDENCE:
         raise GeometryError(f"{line} does not pass through the origin")
     # points t*d on the line through 0 with |t*d - a| = r and |a|^2 - r^2 = 1
     # solve t^2 - 2 t (d.a) + 1 = 0; the roots are an inversion pair t, 1/t
@@ -254,10 +252,10 @@ def _radius_ortho_intersection(line: Line2, circle: Circle2, selector: Selector,
     s = math.sqrt(max((abs(q) - 1.0) * (abs(q) + 1.0), 0.0))
     t_out = math.copysign(abs(q) + s, q)
     candidates = [d * (1.0 / t_out), d * t_out]
-    return _apply_selector(candidates, selector, tol, 1.0 + abs(q))
+    return _apply_selector(candidates, selector, 1.0 + abs(q))
 
 
-def _orthogonal(a, b, tol: Tolerance) -> float:
+def _orthogonal(a, b) -> float:
     if isinstance(a, Circle2) and isinstance(b, Circle2):
         return circles_orthogonal(a, b)
     if isinstance(a, Line2) and isinstance(b, Line2):
@@ -270,45 +268,44 @@ _P = "point"  # the commonest argument kind
 
 # every primitive of the kit, keyed by its .hgc function name
 OPS: dict[str, Op] = {
-    "line": Op(lambda p, q, tol: line_through(p, q, tol), (_P, _P), "line"),
-    "perp": Op(lambda l, p, tol: perpendicular_through(l, p), ("line", _P), "line"),
+    "line": Op(lambda p, q: line_through(p, q), (_P, _P), "line"),
+    "perp": Op(lambda l, p: perpendicular_through(l, p), ("line", _P), "line"),
     "circle": Op(_circle, (_P, "radius"), "circle"),
-    "circle_through": Op(lambda p, q, r, tol: circle_through(p, q, r, tol), (_P, _P, _P), "circle"),
-    "circle_diameter": Op(lambda p, q, tol: circle_on_diameter(p, q, tol), (_P, _P), "circle"),
+    "circle_through": Op(lambda p, q, r: circle_through(p, q, r), (_P, _P, _P), "circle"),
+    "circle_diameter": Op(lambda p, q: circle_on_diameter(p, q), (_P, _P), "circle"),
     # drawn from its closed-form center, accurate even for near-diameter carriers
-    "ortho_circle": Op(lambda x, y, tol: ortho_circle_through(x, y, tol).as_circle(), (_P, _P), "circle"),
-    "geodesic": Op(lambda m, x, y, tol: geodesic_of(m, x, y, tol), ("model", _P, _P), "geodesic"),
-    "invert": Op(lambda p, tol: invert_unit(p, tol), (_P,), _P),
-    "reflect_real": Op(lambda p, tol: reflect_in_line(p, _AXIS_NORMAL, 0.0), (_P,), _P),
-    "midpoint_oracle": Op(lambda m, x, y, tol: midpoint_oracle(m, x, y, tol), ("model", _P, _P), _P),
+    "ortho_circle": Op(lambda x, y: ortho_circle_through(x, y).as_circle(), (_P, _P), "circle"),
+    "geodesic": Op(lambda m, x, y: geodesic_of(m, x, y), ("model", _P, _P), "geodesic"),
+    "invert": Op(lambda p: invert_unit(p), (_P,), _P),
+    "reflect_real": Op(lambda p: reflect_in_line(p, _AXIS_NORMAL, 0.0), (_P,), _P),
+    "midpoint_oracle": Op(lambda m, x, y: midpoint_oracle(m, x, y), ("model", _P, _P), _P),
     "intersect": Op(_intersect, ("curve", "curve", "selector"), _P),
     "intersect_unit_ortho": Op(_unit_ortho_intersection, ("circle", "selector"), _P),
     "intersect_radius_ortho": Op(_radius_ortho_intersection, ("line", "circle", "selector"), _P),
-    "on": Op(lambda p, c, tol: is_on(p, c), (_P, "curve"), "residual"),
+    "on": Op(lambda p, c: is_on(p, c), (_P, "curve"), "residual"),
     "orthogonal": Op(_orthogonal, ("curve", "curve"), "residual"),
-    "tangent": Op(lambda l, c, tol: line_tangent_to_circle(l, c), ("line", "circle"), "residual"),
-    "collinear": Op(lambda p, q, r, tol: collinear(p, q, r), (_P, _P, _P), "residual"),
-    "equal_rho": Op(lambda m, a, b, c, d, tol: rho(m, a, b) - rho(m, c, d), ("model", _P, _P, _P, _P), "residual"),
-    "equals": Op(lambda p, q, tol: (p - q).norm(), (_P, _P), "residual"),
+    "tangent": Op(lambda l, c: line_tangent_to_circle(l, c), ("line", "circle"), "residual"),
+    "collinear": Op(lambda p, q, r: collinear(p, q, r), (_P, _P, _P), "residual"),
+    "equal_rho": Op(lambda m, a, b, c, d: rho(m, a, b) - rho(m, c, d), ("model", _P, _P, _P, _P), "residual"),
+    "equals": Op(lambda p, q: (p - q).norm(), (_P, _P), "residual"),
 }
 
 
-def run_op(op: str, values: list, tol: Tolerance = DEFAULT_TOL):
+def run_op(op: str, values: list):
     """Run primitive ``op`` on argument values (selector last), coerced by kind in place."""
     row = OPS[op]
     for i, passed, coerce in row._coerce:
         if type(values[i]) not in passed:
             values[i] = coerce(values[i])
-    return row.fn(*values, tol)
+    return row.fn(*values)
 
 
 class TraceBuilder:
     """Executes primitives from :data:`OPS` while recording them as steps."""
 
-    def __init__(self, model: Model, method_id: str, initial: dict, tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, model: Model, method_id: str, initial: dict):
         self.model = model
         self.method_id = method_id
-        self.tol = tol
         self.env: dict[str, object] = dict(initial)
         self._initial = tuple(initial.items())
         self.steps: list[ConstructionStep] = []
@@ -324,7 +321,7 @@ class TraceBuilder:
         if select is not None:
             values.append(select)
             data = (select,)
-        value = run_op(op, values, self.tol)
+        value = run_op(op, values)
         if name in env:
             raise GeometryError(f"construction name {name!r} already bound")
         env[name] = value
@@ -333,7 +330,7 @@ class TraceBuilder:
 
     def both_roots(self, a_ref: str, b_ref: str) -> tuple:
         """Peek at both intersection points without recording a step."""
-        return run_op("intersect", [self.env[a_ref], self.env[b_ref], BOTH], self.tol)
+        return run_op("intersect", [self.env[a_ref], self.env[b_ref], BOTH])
 
     def finish(self, result_name: str | None, result: Point2 | None = None) -> ConstructionTrace:
         if result is None:

@@ -7,10 +7,13 @@ function, so values are safe to share across threads.
 
 Numeric conventions:
 
-* two tolerance tiers -- ``eps_degenerate`` decides branches ("is this
-  degenerate?"), ``eps_incidence`` decides assertions ("is this satisfied?");
-* predicates return a signed residual normalized by input magnitude, not a
-  verdict, so the caller's one threshold works at any scale;
+* two fixed tolerance tiers -- :data:`EPS_DEGENERATE` decides branches ("is
+  this degenerate?"), :data:`EPS_INCIDENCE` decides assertions ("is this
+  satisfied?");
+* predicates return a signed residual, not a verdict; residuals and branch
+  tests are scaled by ``1.0 +`` the input magnitudes, so they are relative
+  above unit scale but absolute below it, and one threshold does not fit
+  every scale;
 * every two-root intersection takes an explicit :class:`Selector`; there is
   no silent first-root convention.
 """
@@ -117,30 +120,13 @@ class Point2:
     def from_complex(z: complex) -> "Point2":
         return Point2(z.real, z.imag)
 
-    def close_to(self, other: "Point2", tol: float) -> bool:
-        """Tolerance-based equality; bit-level ``==`` is for bit-for-bit checks only."""
-        return (self - other).norm() <= tol
-
 
 ORIGIN = Point2(0.0, 0.0)
 
-
-class Tolerance(Slotted):
-    """Two-tier tolerance: incidence checks vs degeneracy branch decisions."""
-
-    __slots__ = ("eps_incidence", "eps_degenerate")
-
-    def __init__(self, eps_incidence: float = 1e-9, eps_degenerate: float = 1e-12):
-        if not (0.0 < eps_degenerate <= eps_incidence):
-            raise ValueError(
-                "require 0 < eps_degenerate <= eps_incidence, got "
-                f"{eps_degenerate!r}, {eps_incidence!r}"
-            )
-        self.eps_incidence = eps_incidence
-        self.eps_degenerate = eps_degenerate
-
-
-DEFAULT_TOL = Tolerance()
+# the contract tolerances: an incidence holds within EPS_INCIDENCE, and a
+# configuration is degenerate within EPS_DEGENERATE
+EPS_INCIDENCE = 1e-9
+EPS_DEGENERATE = 1e-12
 
 
 class Line2(Slotted):
@@ -223,12 +209,12 @@ def nearer_than(p: Point2, near: Point2, far: Point2) -> bool:
     return (p.x1 - 0.5 * (near.x1 + far.x1)) * d1 + (p.x2 - 0.5 * (near.x2 + far.x2)) * d2 < 0.0
 
 
-def line_through(p: Point2, q: Point2, tol: Tolerance = DEFAULT_TOL) -> Line2:
+def line_through(p: Point2, q: Point2) -> Line2:
     """Line through two distinct points (the ruler primitive)."""
     p1, p2, q1, q2 = p.x1, p.x2, q.x1, q.x2
     d1, d2 = q1 - p1, q2 - p2
     length = math.hypot(d1, d2)
-    if length <= tol.eps_degenerate * (1.0 + math.hypot(p1, p2) + math.hypot(q1, q2)):
+    if length <= EPS_DEGENERATE * (1.0 + math.hypot(p1, p2) + math.hypot(q1, q2)):
         raise DegenerateInput(f"line through coincident points {p} ~ {q}")
     n1, n2 = -d2 / length, d1 / length
     return Line2(Point2(n1, n2), n1 * p1 + n2 * p2)
@@ -271,19 +257,19 @@ def dot2(a: float, b: float, c: float, d: float) -> float:
     return (p + q) + (perr + qerr)
 
 
-def intersect_line_line(a: Line2, b: Line2, tol: Tolerance = DEFAULT_TOL) -> Point2:
+def intersect_line_line(a: Line2, b: Line2) -> Point2:
     n1, n2, m1, m2 = a.n.x1, a.n.x2, b.n.x1, b.n.x2
     det = det2(n1, n2, m1, m2)
-    if abs(det) <= tol.eps_degenerate:
+    if abs(det) <= EPS_DEGENERATE:
         raise ParallelLines(f"lines with normals {a.n} and {b.n} are parallel")
     return Point2(det2(a.c, n2, b.c, m2) / det, det2(n1, a.c, m1, b.c) / det)
 
 
-def _apply_selector(candidates, selector: Selector, tol: Tolerance, scale: float):
+def _apply_selector(candidates, selector: Selector, scale: float):
     # merge a tangent double root before selecting
     if len(candidates) == 2:
         p, q = candidates
-        if math.hypot(p.x1 - q.x1, p.x2 - q.x2) <= tol.eps_incidence * scale:
+        if math.hypot(p.x1 - q.x1, p.x2 - q.x2) <= EPS_INCIDENCE * scale:
             candidates = [p]
     kind = selector.kind
     if kind == "both":
@@ -298,7 +284,7 @@ def _apply_selector(candidates, selector: Selector, tol: Tolerance, scale: float
         p, q = candidates
         dp = math.hypot(p.x1 - a1, p.x2 - a2)
         dq = math.hypot(q.x1 - a1, q.x2 - a2)
-        if abs(dp - dq) <= tol.eps_degenerate * scale:
+        if abs(dp - dq) <= EPS_DEGENERATE * scale:
             raise AmbiguousSelection(f"candidates equidistant from anchor {anchor}")
         return q if dq < dp else p
     if kind == "upper":
@@ -306,7 +292,7 @@ def _apply_selector(candidates, selector: Selector, tol: Tolerance, scale: float
     elif kind == "in_disk":
         kept = [p for p in candidates if math.hypot(p.x1, p.x2) < 1.0]
     elif kind == "boundary":
-        kept = [p for p in candidates if abs(p.x2) <= tol.eps_incidence * (1.0 + abs(p.x1))]
+        kept = [p for p in candidates if abs(p.x2) <= EPS_INCIDENCE * (1.0 + abs(p.x1))]
     elif kind == "nearer":
         near, far = selector.anchor
         kept = [p for p in candidates if nearer_than(p, near, far)]
@@ -319,24 +305,24 @@ def _apply_selector(candidates, selector: Selector, tol: Tolerance, scale: float
     return kept[0]
 
 
-def intersect_line_circle(l: Line2, c: Circle2, selector: Selector, tol: Tolerance = DEFAULT_TOL):
+def intersect_line_circle(l: Line2, c: Circle2, selector: Selector):
     """Intersection points of a line and a circle, chosen by ``selector``."""
     n1, n2 = l.n.x1, l.n.x2
     c1, c2 = c.center.x1, c.center.x2
     r = c.radius
     dist = (n1 * c1 + n2 * c2) - l.c
     scale = 1.0 + r + math.hypot(c1, c2)
-    if abs(dist) > r + tol.eps_incidence * scale:
+    if abs(dist) > r + EPS_INCIDENCE * scale:
         raise NoIntersection(f"line misses circle by {abs(dist) - r:.3e}")
     # factored difference keeps precision when the line is near-tangent
     h = math.sqrt(max((r - dist) * (r + dist), 0.0))
     # foot of the center plus and minus h along the direction (-n2, n1)
     b1, b2 = c1 - n1 * dist, c2 - n2 * dist
     h1, h2 = -n2 * h, n1 * h
-    return _apply_selector([Point2(b1 + h1, b2 + h2), Point2(b1 - h1, b2 - h2)], selector, tol, scale)
+    return _apply_selector([Point2(b1 + h1, b2 + h2), Point2(b1 - h1, b2 - h2)], selector, scale)
 
 
-def intersect_circle_circle(a: Circle2, b: Circle2, selector: Selector, tol: Tolerance = DEFAULT_TOL):
+def intersect_circle_circle(a: Circle2, b: Circle2, selector: Selector):
     """Intersection points of two circles via the radical line.
 
     Computed from the smaller circle's side with factored differences; the
@@ -350,11 +336,11 @@ def intersect_circle_circle(a: Circle2, b: Circle2, selector: Selector, tol: Tol
     e1, e2 = b.center.x1 - a1, b.center.x2 - a2
     d = math.hypot(e1, e2)
     scale = 1.0 + ra + rb + d
-    if d <= tol.eps_degenerate * scale:
+    if d <= EPS_DEGENERATE * scale:
         raise ConcentricCircles(f"circle centers coincide: {a.center} ~ {b.center}")
-    if d > ra + rb + tol.eps_incidence * scale:
+    if d > ra + rb + EPS_INCIDENCE * scale:
         raise NoIntersection("circles are disjoint (external)")
-    if d < abs(ra - rb) - tol.eps_incidence * scale:
+    if d < abs(ra - rb) - EPS_INCIDENCE * scale:
         raise NoIntersection("circles are disjoint (one inside the other)")
     along = ((ra - rb) * (ra + rb) + d * d) / (2.0 * d)
     h = math.sqrt(max((ra - along) * (ra + along), 0.0))
@@ -363,10 +349,10 @@ def intersect_circle_circle(a: Circle2, b: Circle2, selector: Selector, tol: Tol
     u1, u2 = e1 * inv_d, e2 * inv_d
     b1, b2 = a1 + u1 * along, a2 + u2 * along
     h1, h2 = -u2 * h, u1 * h
-    return _apply_selector([Point2(b1 + h1, b2 + h2), Point2(b1 - h1, b2 - h2)], selector, tol, scale)
+    return _apply_selector([Point2(b1 + h1, b2 + h2), Point2(b1 - h1, b2 - h2)], selector, scale)
 
 
-def circle_through(p: Point2, q: Point2, r: Point2, tol: Tolerance = DEFAULT_TOL) -> Circle2:
+def circle_through(p: Point2, q: Point2, r: Point2) -> Circle2:
     """Circumscribed circle of three noncollinear points.
 
     Computed relative to p with compensated determinants; thin triangles
@@ -379,26 +365,26 @@ def circle_through(p: Point2, q: Point2, r: Point2, tol: Tolerance = DEFAULT_TOL
     w1, w2 = r.x1 - q.x1, r.x2 - q.x2
     nu, nv = u1 * u1 + u2 * u2, v1 * v1 + v2 * v2
     scale = 1.0 + max(nu, nv, w1 * w1 + w2 * w2)
-    if abs(u1 * v2 - u2 * v1) <= tol.eps_degenerate * scale:
+    if abs(u1 * v2 - u2 * v1) <= EPS_DEGENERATE * scale:
         raise CollinearPoints(f"points {p}, {q}, {r} are collinear")
     d = 2.0 * det2(u1, u2, v1, v2)
     c1, c2 = p1 + det2(nu, nv, u2, v2) / d, p2 + det2(u1, v1, nu, nv) / d
     return Circle2(Point2(c1, c2), math.hypot(p1 - c1, p2 - c2))
 
 
-def circle_on_diameter(p: Point2, q: Point2, tol: Tolerance = DEFAULT_TOL) -> Circle2:
+def circle_on_diameter(p: Point2, q: Point2) -> Circle2:
     """Circle with segment [p, q] as diameter."""
     p1, p2, q1, q2 = p.x1, p.x2, q.x1, q.x2
     d = math.hypot(q1 - p1, q2 - p2)
-    if d <= tol.eps_degenerate * (1.0 + math.hypot(p1, p2) + math.hypot(q1, q2)):
+    if d <= EPS_DEGENERATE * (1.0 + math.hypot(p1, p2) + math.hypot(q1, q2)):
         raise DegenerateInput(f"diameter endpoints coincide: {p} ~ {q}")
     return Circle2(Point2((p1 + q1) * 0.5, (p2 + q2) * 0.5), d * 0.5)
 
 
-def invert_unit(p: Point2, tol: Tolerance = DEFAULT_TOL) -> Point2:
+def invert_unit(p: Point2) -> Point2:
     """Inversion x -> x / |x|^2 in the unit circle."""
     n2 = p.norm_sq()
-    if n2 <= tol.eps_degenerate * tol.eps_degenerate:
+    if n2 <= EPS_DEGENERATE * EPS_DEGENERATE:
         raise OriginInversion("cannot invert the origin in the unit circle")
     return p * (1.0 / n2)
 
@@ -411,11 +397,11 @@ def reflect_in_line(p: Point2, a: Point2, t: float) -> Point2:
     return p - a * (2.0 * (p.dot(a) - t) / a2)
 
 
-def invert_in_circle(p: Point2, c: Circle2, tol: Tolerance = DEFAULT_TOL) -> Point2:
+def invert_in_circle(p: Point2, c: Circle2) -> Point2:
     """Inversion x -> a + r^2 (x-a)/|x-a|^2 in the circle S(a, r)."""
     d = p - c.center
     n2 = d.norm_sq()
-    if n2 <= (tol.eps_degenerate * (1.0 + c.radius)) ** 2:
+    if n2 <= (EPS_DEGENERATE * (1.0 + c.radius)) ** 2:
         raise CenterInversion("cannot invert the center of the circle")
     return c.center + d * (c.radius * c.radius / n2)
 

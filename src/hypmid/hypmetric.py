@@ -37,13 +37,13 @@ from .errors import (
     OutsideDomain,
 )
 from .geom2d import (
-    DEFAULT_TOL,
+    EPS_DEGENERATE,
+    EPS_INCIDENCE,
     Carrier,
     Circle2,
     Line2,
     Point2,
     Slotted,
-    Tolerance,
     _two_product,
     nearer_than,
 )
@@ -76,8 +76,8 @@ class PairKind(enum.Enum):
     GENERIC = "generic"
 
 
-def pair_kind(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> PairKind:
-    """The case of the paper's constructions that x, y fall in; eps = tol.eps_degenerate.
+def pair_kind(model: Model, x: Point2, y: Point2) -> PairKind:
+    """The case of the paper's constructions that x, y fall in; eps = ``EPS_DEGENERATE`` (1e-12).
 
     Raises :class:`OutsideDomain`, or :class:`DegenerateInput` if |x - y| <= eps s
     with s = 1 + |x| + |y|.  LINE: |x1 - y1| <= eps s in h2, |x × y| / (1 + |x||y|)
@@ -87,7 +87,7 @@ def pair_kind(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) 
     nx, ny = math.hypot(x1, x2), math.hypot(y1, y2)
     if not ((nx < 1.0 and ny < 1.0) if model is Model.DISK else _in_half_plane(x1, x2) and _in_half_plane(y1, y2)):
         require_in_domain(model, x, y)
-    eps = tol.eps_degenerate
+    eps = EPS_DEGENERATE
     scale = 1.0 + nx + ny
     if math.hypot(x1 - y1, x2 - y2) <= eps * scale:
         raise DegenerateInput(f"need two distinct points, got {x} ~ {y}")
@@ -100,9 +100,9 @@ def pair_kind(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) 
     return PairKind.GENERIC
 
 
-def require_case(model: Model, x: Point2, y: Point2, cases: tuple[PairKind, ...], tol: Tolerance = DEFAULT_TOL) -> PairKind:
+def require_case(model: Model, x: Point2, y: Point2, cases: tuple[PairKind, ...]) -> PairKind:
     """A method's precondition: the pair's case if it is among ``cases``, else its typed refusal."""
-    kind = pair_kind(model, x, y, tol)
+    kind = pair_kind(model, x, y)
     if kind in cases:
         return kind
     if model is Model.HALF_PLANE:
@@ -155,7 +155,7 @@ class OrthoCircle(NamedTuple):
         return Circle2(self.a, self.r_a)
 
 
-def ortho_circle_through(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> OrthoCircle:
+def ortho_circle_through(x: Point2, y: Point2) -> OrthoCircle:
     """Center and radius of the circle through x, y, x*, y* orthogonal to S1.
 
     a = i (y(1+|x|^2) - x(1+|y|^2)) / (2 (x2 y1 - x1 y2)),
@@ -164,10 +164,10 @@ def ortho_circle_through(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> 
     """
     x1, x2, y1, y2 = x.x1, x.x2, y.x1, y.x2
     nx, ny = math.hypot(x1, x2), math.hypot(y1, y2)
-    if nx <= tol.eps_degenerate or ny <= tol.eps_degenerate:
+    if nx <= EPS_DEGENERATE or ny <= EPS_DEGENERATE:
         raise CollinearWithOrigin("x and y must be nonzero")
     det = x1 * y2 - x2 * y1
-    if abs(det) <= tol.eps_degenerate * nx * ny:
+    if abs(det) <= EPS_DEGENERATE * nx * ny:
         raise CollinearWithOrigin(f"0, {x}, {y} are collinear")
     zx, zy = complex(x1, x2), complex(y1, y2)
     ny2 = y1 * y1 + y2 * y2
@@ -226,10 +226,10 @@ def unit_circle_crossings(a: Point2) -> tuple[Point2, Point2]:
     return Point2(b1 + h1, b2 + h2), Point2(b1 - h1, b2 - h2)
 
 
-def geodesic_carrier(model: Model, x: Point2, y: Point2, kind: PairKind, tol: Tolerance = DEFAULT_TOL) -> Carrier:
+def geodesic_carrier(model: Model, x: Point2, y: Point2, kind: PairKind) -> Carrier:
     """Euclidean carrier of the geodesic through x and y, from its closed form.
 
-    ``kind`` is ``pair_kind(model, x, y, tol)``, which the caller has decided.
+    ``kind`` is ``pair_kind(model, x, y)``, which the caller has decided.
     """
     if model is Model.HALF_PLANE:
         if kind is PairKind.LINE:
@@ -241,7 +241,7 @@ def geodesic_carrier(model: Model, x: Point2, y: Point2, kind: PairKind, tol: To
         d = (y - x) * (1.0 / (y - x).norm())
         n = d.perp()
         return Line2(n, n.dot(x))
-    return ortho_circle_through(x, y, tol).as_circle()
+    return ortho_circle_through(x, y).as_circle()
 
 
 def ideal_ends(model: Model, carrier: Carrier, x: Point2, y: Point2) -> tuple[ExtendedPoint, ExtendedPoint]:
@@ -264,15 +264,15 @@ def ideal_ends(model: Model, carrier: Carrier, x: Point2, y: Point2) -> tuple[Ex
     return (e1, e2) if nearer_than(e1, x, y) else (e2, e1)
 
 
-def geodesic_of(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Geodesic:
+def geodesic_of(model: Model, x: Point2, y: Point2) -> Geodesic:
     """Carrier and ordered ideal endpoints of the geodesic through x and y."""
-    carrier = geodesic_carrier(model, x, y, pair_kind(model, x, y, tol), tol)
+    carrier = geodesic_carrier(model, x, y, pair_kind(model, x, y))
     return Geodesic(model, carrier, ideal_ends(model, carrier, x, y))
 
 
-def rho_via_cross_ratio(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> float:
+def rho_via_cross_ratio(model: Model, x: Point2, y: Point2) -> float:
     """Distance as log |x_*, x, y, y_*| along the geodesic through x, y."""
-    g = geodesic_of(model, x, y, tol)
+    g = geodesic_of(model, x, y)
     e1, e2 = g.ideal_endpoints
     return math.log(absolute_ratio(e1, x, y, e2))
 
@@ -299,7 +299,7 @@ def _arc_coordinate(t: float, big_a: float) -> float:
     return math.log((1.0 + tau) / (1.0 - tau))
 
 
-def rho_disk_arc(w: float, v: Point2, ortho: OrthoCircle, tol: Tolerance = DEFAULT_TOL) -> float:
+def rho_disk_arc(w: float, v: Point2, ortho: OrthoCircle) -> float:
     """Arc distance from the carrier point (w, 0) to v via the A tan(theta/2) form.
 
     ``w`` is the radial coordinate of the point where the arc crosses the
@@ -310,7 +310,7 @@ def rho_disk_arc(w: float, v: Point2, ortho: OrthoCircle, tol: Tolerance = DEFAU
         raise NotOnArc(f"w must lie in (0, 1), got {w!r}")
     pw = Point2(w, 0.0)
     for p in (pw, v):
-        if abs((p - ortho.a).norm() - ortho.r_a) > tol.eps_incidence * (1.0 + ortho.r_a):
+        if abs((p - ortho.a).norm() - ortho.r_a) > EPS_INCIDENCE * (1.0 + ortho.r_a):
             raise NotOnArc(f"{p} is not on the circle S({ortho.a}, {ortho.r_a})")
         if p.norm() >= 1.0:
             raise NotOnArc(f"{p} is not inside the unit disk")
@@ -320,7 +320,7 @@ def rho_disk_arc(w: float, v: Point2, ortho: OrthoCircle, tol: Tolerance = DEFAU
     return abs(_arc_coordinate(tv, big_a) - _arc_coordinate(tw, big_a))
 
 
-def midpoint_disk_angles(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Point2:
+def midpoint_disk_angles(x: Point2, y: Point2) -> Point2:
     """Disk midpoint from signed angles at the orthogonal-circle center.
 
     With F the arc coordinate of :func:`rho_disk_arc`, the midpoint angle
@@ -329,7 +329,7 @@ def midpoint_disk_angles(x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> 
     Raises :class:`CollinearWithOrigin` if 0, x, y are collinear.
     """
     require_in_domain(Model.DISK, x, y)
-    ortho = ortho_circle_through(x, y, tol)
+    ortho = ortho_circle_through(x, y)
     big_a = math.sqrt(1.0 + ortho.r_a * ortho.r_a) + ortho.r_a
     alpha = signed_arc_angle(x, ortho)
     beta = signed_arc_angle(y, ortho)
@@ -355,7 +355,7 @@ def _one_minus_dot(a1: float, a2: float, b1: float, b2: float) -> float:
     return s2 + (((t1 + t2) - e1) - e2)
 
 
-def midpoint_oracle(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT_TOL) -> Point2:
+def midpoint_oracle(model: Model, x: Point2, y: Point2) -> Point2:
     """Midpoint by a symmetric closed form with no cancelling terms.
 
     h2, with s = x2 + y2: z = ((x1 y2 + y1 x2) / s,
@@ -367,7 +367,7 @@ def midpoint_oracle(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT
     relative precision near S1.  The domain and distinct-points checks run
     once, in :func:`pair_kind`.
     """
-    pair_kind(model, x, y, tol)
+    pair_kind(model, x, y)
     x1, x2, y1, y2 = x.x1, x.x2, y.x1, y.x2
     if model is Model.HALF_PLANE:
         # weights y2/s, x2/s and sqrt(x2) sqrt(y2): no product of two coordinates
@@ -383,12 +383,12 @@ def midpoint_oracle(model: Model, x: Point2, y: Point2, tol: Tolerance = DEFAULT
     return Point2((a * x1 + b * y1) / den, (a * x2 + b * y2) / den)
 
 
-def projection_pr(x: Point2, tol: Tolerance = DEFAULT_TOL) -> Point2:
+def projection_pr(x: Point2) -> Point2:
     """Vertical projection of a point of S1 in the upper half-plane onto the real axis.
 
     The image (x1, 0) is read as a point of the disk model on the real
     diameter; the map halves hyperbolic distances.
     """
-    if abs(x.norm() - 1.0) > tol.eps_incidence or x.x2 <= 0.0:
+    if abs(x.norm() - 1.0) > EPS_INCIDENCE or x.x2 <= 0.0:
         raise NotOnUnitCircle(f"{x} is not on the upper unit semicircle")
     return Point2(x.x1, 0.0)

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from .constructions.trace import OPS, run_op
 from .errors import GeometryError
-from .geom2d import DEFAULT_TOL, ORIGIN, Circle2, Line2, Point2, Selector, Slotted, Tolerance
+from .geom2d import EPS_INCIDENCE, ORIGIN, Circle2, Line2, Point2, Selector, Slotted
 from .hypmetric import Model
 
 BUILTINS = {
@@ -490,18 +490,18 @@ class EvaluationResult:
         return all(a.passed for a in self.assertions)
 
 
-def _value(node, env: dict, tol: Tolerance):
+def _value(node, env: dict):
     """A node's value; run_op coerces each call's arguments to their kinds."""
     if isinstance(node, PointLit):
         return Point2(node.x, node.y)
     if isinstance(node, Ref):
         return env[node.name]
     if isinstance(node, Call):
-        return run_op(node.fn, [_value(a, env, tol) for a in node.args], tol)
+        return run_op(node.fn, [_value(a, env) for a in node.args])
     if isinstance(node, SelectorNode):
-        return Selector(node.kind, None if node.anchor is None else _value(node.anchor, env, tol))
+        return Selector(node.kind, None if node.anchor is None else _value(node.anchor, env))
     if isinstance(node, tuple):  # the anchor pair of nearer
-        return (_value(node[0], env, tol), _value(node[1], env, tol))
+        return (_value(node[0], env), _value(node[1], env))
     return node  # radius number or model tag
 
 
@@ -528,11 +528,7 @@ def program_model(program: Program) -> Model:
     return Model.DISK
 
 
-def evaluate(
-    program: Program,
-    tol: Tolerance = DEFAULT_TOL,
-    bind: dict[str, Point2] | None = None,
-) -> EvaluationResult:
+def evaluate(program: Program, bind: dict[str, Point2] | None = None) -> EvaluationResult:
     """Run a program: execute bindings in order, record assertion residuals.
 
     ``bind`` overrides the values of point-literal bindings by name; naming a
@@ -556,16 +552,16 @@ def evaluate(
                 if item.keyword == "point" and bind and item.name in bind:
                     value = bind[item.name]
                 else:
-                    value = _value(item.expr, env, tol)
+                    value = _value(item.expr, env)
             except (GeometryError, ValueError) as exc:
                 raise RuntimeGeometryError(item.line, _fmt_item(item), exc) from exc
             env[item.name] = value
         elif isinstance(item, Assertion):
             try:
-                residual = _value(item.check, env, tol)
+                residual = _value(item.check, env)
             except (GeometryError, ValueError) as exc:
                 raise RuntimeGeometryError(item.line, _fmt_item(item), exc) from exc
-            tolerance = item.tolerance if item.tolerance is not None else tol.eps_incidence
+            tolerance = item.tolerance if item.tolerance is not None else EPS_INCIDENCE
             assertions.append(
                 AssertionOutcome(
                     line=item.line,

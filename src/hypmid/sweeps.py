@@ -34,7 +34,7 @@ from .constructions.reports import (
     semicircle_residual,
 )
 from .errors import GeometryError, MethodInapplicable
-from .geom2d import DEFAULT_TOL, ORIGIN, Point2, Tolerance
+from .geom2d import ORIGIN, Point2
 from .hypmetric import (
     Model,
     midpoint_disk_angles,
@@ -149,7 +149,7 @@ def sample_unit_circle_pair(rng: random.Random) -> tuple[Point2, Point2]:
 # checks
 
 
-def check_metric_agreement(model: Model, cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> CheckResult:
+def check_metric_agreement(model: Model, cfg: SweepConfig) -> CheckResult:
     """Cross-ratio distance against the closed form, relative error."""
     rng = random.Random(cfg.seed)
     worst = 0.0
@@ -166,12 +166,12 @@ def check_metric_agreement(model: Model, cfg: SweepConfig, tol: Tolerance = DEFA
             if (x - y).norm() < MIN_SEPARATION:
                 continue
             closed = rho_disk(x, y)
-        via = rho_via_cross_ratio(model, x, y, tol)
+        via = rho_via_cross_ratio(model, x, y)
         worst = _worse(worst, abs(via - closed) / closed)
     return _result(f"metric agreement ({model.value})", cfg.samples, worst, IDENTITY_TOL)
 
 
-def check_h2_concurrency(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
+def check_h2_concurrency(cfg: SweepConfig) -> list[CheckResult]:
     """Methods I-IV (where applicable) against the angle formula and the oracle."""
     rng = random.Random(cfg.seed)
     methods = (h2_method_I, h2_method_II, h2_method_III, h2_method_IV)
@@ -183,10 +183,10 @@ def check_h2_concurrency(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list
         beta = math.atan2(y.x2 - o.x2, y.x1 - o.x1)
         lo, hi = min(alpha, beta), max(alpha, beta)
         z_angle = o + midpoint_halfplane_unitcircle(lo, hi) * r
-        candidates = [z_angle, midpoint_oracle(Model.HALF_PLANE, x, y, tol)]
+        candidates = [z_angle, midpoint_oracle(Model.HALF_PLANE, x, y)]
         for method in methods:
             try:
-                res = method(x, y, tol)
+                res = method(x, y)
             except MethodInapplicable:
                 continue
             candidates.append(res.z)
@@ -198,7 +198,7 @@ def check_h2_concurrency(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list
     ]
 
 
-def check_h2_identities(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
+def check_h2_identities(cfg: SweepConfig) -> list[CheckResult]:
     """Half-plane lemma claims over the carrier sweep, normalized to the unit carrier."""
     rng = random.Random(cfg.seed)
     worst: dict[str, float] = {}
@@ -206,7 +206,7 @@ def check_h2_identities(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list[
         x, y, o, r = sample_h2_carrier_pair(rng)
         xu = (x - o) * (1.0 / r)
         yu = (y - o) * (1.0 / r)
-        for key, residual in lemma31_report(xu, yu, tol).items():
+        for key, residual in lemma31_report(xu, yu).items():
             worst[key] = _worse(worst.get(key, 0.0), abs(residual))
     return [
         _result(f"lemma 3.1/prop 3.2: {key}", cfg.samples, value, IDENTITY_TOL)
@@ -214,7 +214,7 @@ def check_h2_identities(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list[
     ]
 
 
-def check_b2_concurrency(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
+def check_b2_concurrency(cfg: SweepConfig) -> list[CheckResult]:
     """Methods I-VI, the angle formula and the oracle all give the same point."""
     rng = random.Random(cfg.seed)
     worst_spread = 0.0
@@ -222,13 +222,13 @@ def check_b2_concurrency(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list
     worst_collinear = 0.0
     for _ in range(cfg.samples):
         x, y = sample_disk_pair(rng)
-        candidates = [midpoint_oracle(Model.DISK, x, y, tol), midpoint_disk_angles(x, y, tol)]
-        res = b2_method_I(x, y, tol)
+        candidates = [midpoint_oracle(Model.DISK, x, y), midpoint_disk_angles(x, y)]
+        res = b2_method_I(x, y)
         candidates.append(res.z)
         worst_rho = _worse(worst_rho, res.residual_equal_distance)
         z = res.z
         for which in ("II", "III", "IV", "V", "VI"):
-            res = b2_methods_II_to_VI(x, y, which, tol)
+            res = b2_methods_II_to_VI(x, y, which)
             candidates.append(res.z)
             worst_rho = _worse(worst_rho, res.residual_equal_distance)
             aux = next(s.result for s in res.trace.steps if s.produces == "g")
@@ -241,13 +241,13 @@ def check_b2_concurrency(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list
     ]
 
 
-def check_b2_identities(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
+def check_b2_identities(cfg: SweepConfig) -> list[CheckResult]:
     """Bisector-circle lemma claims (incl. the inversion-pair remark) over the sweep."""
     rng = random.Random(cfg.seed)
     worst: dict[str, float] = {}
     for _ in range(cfg.samples):
         x, y = sample_disk_pair(rng)
-        for key, residual in lemma46_report(x, y, tol).items():
+        for key, residual in lemma46_report(x, y).items():
             worst[key] = _worse(worst.get(key, 0.0), abs(residual))
     return [
         _result(f"lemma 4.6/remark 4.9: {key}", cfg.samples, value, IDENTITY_TOL)
@@ -255,7 +255,7 @@ def check_b2_identities(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list[
     ]
 
 
-def check_projection(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
+def check_projection(cfg: SweepConfig) -> list[CheckResult]:
     """2 rho_h2(x, y) = rho_b2(Pr x, Pr y) for pairs on the unit semicircle."""
     rng = random.Random(cfg.seed)
     n = max(1, cfg.samples // 2)
@@ -263,7 +263,7 @@ def check_projection(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list[Che
     for _ in range(n):
         x, y = sample_unit_circle_pair(rng)
         lhs = 2.0 * rho_halfplane(x, y)
-        rhs = rho_disk(projection_pr(x, tol), projection_pr(y, tol))
+        rhs = rho_disk(projection_pr(x), projection_pr(y))
         worst = _worse(worst, abs(lhs - rhs))
     # closed-form instance: x, y at angles pi/3, 2pi/3 project to (+-1/2, 0)
     x = Point2(math.cos(math.pi / 3.0), math.sin(math.pi / 3.0))
@@ -276,7 +276,7 @@ def check_projection(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list[Che
     ]
 
 
-def check_scale_chain(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
+def check_scale_chain(cfg: SweepConfig) -> list[CheckResult]:
     """Chain construction: rho(0, X_k) = k c and |X_k| = tanh(k artanh |X_1|)."""
     rng = random.Random(cfg.seed)
     n = max(1, cfg.samples // 10)
@@ -286,7 +286,7 @@ def check_scale_chain(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list[Ch
         r = rng.uniform(0.1, 0.6)
         th = rng.uniform(0.0, math.tau)
         x1 = Point2(r * math.cos(th), r * math.sin(th))
-        chain = scale_sequence(x1, 10, tol)
+        chain = scale_sequence(x1, 10)
         c = chain.c
         for k, p in enumerate(chain.points, start=1):
             worst_rho = _worse(worst_rho, abs(rho_disk(ORIGIN, p) - k * c))
@@ -297,7 +297,7 @@ def check_scale_chain(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list[Ch
     ]
 
 
-def check_prop48_sweep(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL, points: int = 100) -> CheckResult:
+def check_prop48_sweep(cfg: SweepConfig, points: int = 100) -> CheckResult:
     """Predicate sign must flip exactly where the cosine criterion changes sign."""
     rng = random.Random(cfg.seed)
     r1 = rng.uniform(0.3, 0.7)
@@ -307,13 +307,13 @@ def check_prop48_sweep(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL, points: i
     for i in range(points):
         phi = 0.02 + (math.pi - 0.04) * i / (points - 1)
         y = Point2(r2 * math.cos(phi), r2 * math.sin(phi))
-        chk = prop48_orthogonality(x, y, tol)
+        chk = prop48_orthogonality(x, y)
         if (chk.criterion_residual > 0.0) != (chk.orthogonality_residual > 0.0):
             disagreements += 1
     return _result("prop 4.8 predicate/criterion sign agreement", points, float(disagreements), 0.0)
 
 
-def find_semicircle_partner(x: Point2, r_y: float, rng: random.Random, tol: Tolerance = DEFAULT_TOL) -> Point2 | None:
+def find_semicircle_partner(x: Point2, r_y: float, rng: random.Random) -> Point2 | None:
     """Root-find y with |y| = r_y making the arc x^*, x, y, y^* a semicircle."""
     base = math.atan2(x.x2, x.x1)
 
@@ -321,7 +321,7 @@ def find_semicircle_partner(x: Point2, r_y: float, rng: random.Random, tol: Tole
         return Point2(r_y * math.cos(base + phi), r_y * math.sin(base + phi))
 
     def residual(phi: float) -> float:
-        return semicircle_residual(x, candidate(phi), tol)
+        return semicircle_residual(x, candidate(phi))
 
     grid = [0.05 + (math.pi - 0.1) * i / 80 for i in range(81)]
     if rng.random() < 0.5:
@@ -345,13 +345,13 @@ def find_semicircle_partner(x: Point2, r_y: float, rng: random.Random, tol: Tole
     return None
 
 
-def check_prop47(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL, semicircle_cases: int = 50) -> list[CheckResult]:
+def check_prop47(cfg: SweepConfig, semicircle_cases: int = 50) -> list[CheckResult]:
     """Collinearity claims on the generic sweep; ratio equality on semicircle configs."""
     rng = random.Random(cfg.seed)
     worst_col = 0.0
     for _ in range(cfg.samples):
         x, y = sample_disk_pair(rng)
-        report = prop47_report(x, y, tol)
+        report = prop47_report(x, y)
         worst_col = _worse(worst_col, abs(report["0,b,d collinear"]))
         worst_col = _worse(worst_col, abs(report["0,b',d' collinear"]))
     worst_ratio = 0.0
@@ -363,11 +363,11 @@ def check_prop47(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL, semicircle_case
             continue
         th = rng.uniform(0.0, math.tau)
         x = Point2(r1 * math.cos(th), r1 * math.sin(th))
-        y = find_semicircle_partner(x, r2, rng, tol)
+        y = find_semicircle_partner(x, r2, rng)
         if y is None:
             continue
         try:
-            report = prop47_report(x, y, tol)
+            report = prop47_report(x, y)
         except GeometryError:
             continue
         ratio = report["|z,x,x^*,z'|=|z,y,y^*,z'|"]
@@ -383,9 +383,7 @@ def check_prop47(cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL, semicircle_case
     ]
 
 
-def check_case1_constructions(
-    cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL, models: tuple[Model, ...] = (Model.HALF_PLANE, Model.DISK)
-) -> list[CheckResult]:
+def check_case1_constructions(cfg: SweepConfig, models: tuple[Model, ...] = (Model.HALF_PLANE, Model.DISK)) -> list[CheckResult]:
     """Vertical / diameter special cases of ``models`` against the oracle.
 
     Every sample draws the inputs of both models, so a model's results do not
@@ -404,7 +402,7 @@ def check_case1_constructions(
             continue
         if run_h2:
             x, y = Point2(x1, h1), Point2(x1, h2)
-            worst_h2 = _worse(worst_h2, midpoint(Model.HALF_PLANE, x, y, "case1", tol).oracle_distance)
+            worst_h2 = _worse(worst_h2, midpoint(Model.HALF_PLANE, x, y, "case1").oracle_distance)
 
         th = rng.uniform(0.0, math.tau)
         d = Point2(math.cos(th), math.sin(th))
@@ -413,14 +411,14 @@ def check_case1_constructions(
             continue
         if run_b2:
             x, y = d * t1, d * t2
-            worst_b2 = _worse(worst_b2, midpoint(Model.DISK, x, y, "case1", tol).oracle_distance)
+            worst_b2 = _worse(worst_b2, midpoint(Model.DISK, x, y, "case1").oracle_distance)
 
         r = rng.uniform(0.1, MAX_MODULUS)
         a1 = rng.uniform(0.0, math.tau)
         a2 = a1 + rng.uniform(0.1, 2.0)
         x, y = Point2(r * math.cos(a1), r * math.sin(a1)), Point2(r * math.cos(a2), r * math.sin(a2))
         if run_b2 and abs(x.cross(y)) / (x.norm() * y.norm()) >= MIN_MARGIN:
-            worst_eq = _worse(worst_eq, midpoint(Model.DISK, x, y, "equal", tol).oracle_distance)
+            worst_eq = _worse(worst_eq, midpoint(Model.DISK, x, y, "equal").oracle_distance)
     results = []
     if run_h2:
         results.append(_result("h2 vertical case vs oracle", n, worst_h2, cfg.tolerance))
@@ -430,22 +428,22 @@ def check_case1_constructions(
     return results
 
 
-def run_suite(suite: str, cfg: SweepConfig, tol: Tolerance = DEFAULT_TOL) -> list[CheckResult]:
+def run_suite(suite: str, cfg: SweepConfig) -> list[CheckResult]:
     if suite not in SUITES:
         raise ValueError(f"suite must be one of {SUITES}, got {suite!r}")
     models = (Model.HALF_PLANE, Model.DISK) if suite == "all" else (Model(suite),)
     results: list[CheckResult] = []
     if Model.HALF_PLANE in models:
-        results.append(check_metric_agreement(Model.HALF_PLANE, cfg, tol))
-        results.extend(check_h2_concurrency(cfg, tol))
-        results.extend(check_h2_identities(cfg, tol))
-        results.extend(check_projection(cfg, tol))
+        results.append(check_metric_agreement(Model.HALF_PLANE, cfg))
+        results.extend(check_h2_concurrency(cfg))
+        results.extend(check_h2_identities(cfg))
+        results.extend(check_projection(cfg))
     if Model.DISK in models:
-        results.append(check_metric_agreement(Model.DISK, cfg, tol))
-        results.extend(check_b2_concurrency(cfg, tol))
-        results.extend(check_b2_identities(cfg, tol))
-        results.extend(check_scale_chain(cfg, tol))
-        results.append(check_prop48_sweep(cfg, tol))
-        results.extend(check_prop47(cfg, tol))
-    results.extend(check_case1_constructions(cfg, tol, models))
+        results.append(check_metric_agreement(Model.DISK, cfg))
+        results.extend(check_b2_concurrency(cfg))
+        results.extend(check_b2_identities(cfg))
+        results.extend(check_scale_chain(cfg))
+        results.append(check_prop48_sweep(cfg))
+        results.extend(check_prop47(cfg))
+    results.extend(check_case1_constructions(cfg, models))
     return results

@@ -12,6 +12,8 @@ from importlib import resources
 import pytest
 
 from hypmid import cli
+from hypmid.constructions import ORACLE_FLAG_THRESHOLD
+from hypmid.hypmetric import Model, midpoint_oracle
 
 
 def run(capsys, *argv):
@@ -45,6 +47,16 @@ MISMATCHES = [
 
 # a generic b2 pair on which method I's chords L(x,y), L(x^*,y^*) are parallel
 PARALLEL_CHORDS_B2 = ("--x", "0.5,0", "--y", "-0.4711111703357424,0.16749407507845504")
+
+
+# pairs whose midpoint lands farther than ORACLE_FLAG_THRESHOLD from the oracle: a nearly vertical h2 pair,
+# a b2 pair near S1 with nearly equal moduli, and two b2 pairs near the origin
+ORACLE_WITNESSES = [
+    ("h2", "-0.5407969818861986,0.29482034086576914", "-0.5407969631894342,2.7250640557546957"),
+    ("b2", "-0.6655967750688263,-0.7463115522474332", "0.17195418855782021,0.985104947220041"),
+    ("b2", "4.747865078273378e-12,-2.0467389200876413e-12", "8.702520951508237e-12,-3.751537584214325e-12"),
+    ("b2", "1e-6,0", "0,1e-6"),
+]
 
 
 def corpus_path(name: str) -> str:
@@ -96,6 +108,27 @@ class TestMidpoint:
         assert payload["reason"] == "ParallelLines"
         assert "fallback" not in payload
         assert run(capsys, "midpoint", "--model", "b2", *PARALLEL_CHORDS_B2, "--method", "II")[0] == 0
+
+    @pytest.mark.parametrize("model, x, y", ORACLE_WITNESSES, ids=["h2-near-vertical", "b2-near-S1", "b2-1e-12", "b2-1e-6"])
+    def test_result_flagged_against_the_oracle_exits_1(self, capsys, model, x, y):
+        args = ("midpoint", "--model", model, f"--x={x}", f"--y={y}")
+        code, out, err = run(capsys, *args)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["oracle_distance"] > ORACLE_FLAG_THRESHOLD
+        oracle = midpoint_oracle(Model(model), cli._point(x), cli._point(y))
+        assert err == (
+            f"error: z disagrees with the oracle: oracle_distance={payload['oracle_distance']:.3e} > 1e-08; "
+            f"the oracle's z = {oracle.x1:.12g},{oracle.x2:.12g}\n"
+        )
+        code, plain, plain_err = run(capsys, *args, "--plain")
+        assert (code, plain_err) == (1, err)
+        assert plain.rstrip().endswith(f"oracle_distance={payload['oracle_distance']:.3e}")
+
+    def test_result_that_agrees_with_the_oracle_exits_0(self, capsys):
+        code, out, err = run(capsys, "midpoint", "--model", "b2", "--x", "0.5,0", "--y", "0,0.25", "--plain")
+        assert (code, err) == (0, "")
+        assert out.rstrip().rsplit("  ", 1)[1].startswith("oracle_distance=")
 
     def test_usage_error_exit_64(self, capsys):
         code, _, err = run(capsys, "midpoint", "--model", "h2", "--x", "0,1")
@@ -343,23 +376,14 @@ class TestRender:
         assert not out.exists()
 
 
-def test_tolerance_env_override(monkeypatch):
-    monkeypatch.setenv("HYPMID_TOL", "1e-6")
-    tol = cli.default_tolerance()
-    assert tol.eps_incidence == 1e-6
-    monkeypatch.delenv("HYPMID_TOL")
-    assert cli.default_tolerance().eps_incidence == 1e-9
-
-
-@pytest.mark.parametrize("value", ["abc", "1e-15"])
-def test_bad_tolerance_env_is_usage_error(monkeypatch, capsys, value):
-    # "1e-15" is below eps_degenerate, which Tolerance refuses
-    monkeypatch.setenv("HYPMID_TOL", value)
-    code, out, err = run(capsys, "midpoint", "--model", "b2", "--x", "0.5,0", "--y", "0,0.25")
-    assert code == 64
-    assert out == ""
-    assert err.startswith("error: HYPMID_TOL=")
-    assert "Traceback" not in err
+def test_environment_cannot_loosen_the_contract(monkeypatch, capsys, tmp_path):
+    # the residual 1e-6 is above the fixed incidence tolerance 1e-9 and below the variable's 1e-3
+    monkeypatch.setenv("HYPMID_TOL", "1e-3")
+    src = tmp_path / "near.hgc"
+    src.write_text("point x = (0.5, 0.0)\npoint y = (0.500001, 0.0)\nassert equals(x, y)\n", encoding="utf-8")
+    code, out, _ = run(capsys, "script", "run", str(src))
+    assert code == 1
+    assert out.startswith("FAIL line 3: equals(x, y)  residual=1.000e-06 tol=1.0e-09")
 
 
 def test_cli_import_loads_only_what_midpoint_runs():

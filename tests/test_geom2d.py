@@ -18,7 +18,7 @@ from hypmid.errors import (
 )
 from hypmid.geom2d import (
     BOTH,
-    DEFAULT_TOL,
+    EPS_INCIDENCE,
     IN_DISK,
     ORIGIN,
     UPPER,
@@ -26,7 +26,6 @@ from hypmid.geom2d import (
     Line2,
     Point2,
     Selector,
-    Tolerance,
     circle_on_diameter,
     circle_through,
     circles_orthogonal,
@@ -75,13 +74,6 @@ class TestValues:
     def test_validation_kept(self):
         with pytest.raises(DegenerateInput, match=r"circle radius must be finite and > 0, got 0\.0"):
             Circle2(Point2(1.0, 2.0), 0.0)
-        with pytest.raises(ValueError, match=r"require 0 < eps_degenerate <= eps_incidence, got 1e-06, 1e-09"):
-            Tolerance(eps_incidence=1e-9, eps_degenerate=1e-6)
-
-
-def test_tolerance_ordering_enforced():
-    with pytest.raises(ValueError):
-        Tolerance(eps_incidence=1e-12, eps_degenerate=1e-9)
 
 
 class TestLineThrough:
@@ -124,7 +116,7 @@ class TestIntersections:
     def test_axes_cross_at_origin(self):
         vert = Line2(Point2(1.0, 0.0), 0.0)
         p = intersect_line_line(vert, X_AXIS)
-        assert p.close_to(ORIGIN, 1e-15)
+        assert (p - ORIGIN).norm() <= 1e-15
 
     def test_parallel_lines_rejected(self):
         a = Line2(Point2(0.0, 1.0), 0.0)
@@ -135,11 +127,11 @@ class TestIntersections:
     def test_diagonals_cross_in_middle(self):
         a = line_through(Point2(0, 0), Point2(1, 1))
         b = line_through(Point2(1, 0), Point2(0, 1))
-        assert intersect_line_line(a, b).close_to(Point2(0.5, 0.5), 1e-12)
+        assert (intersect_line_line(a, b) - Point2(0.5, 0.5)).norm() <= 1e-12
 
     def test_vertical_through_unit_circle(self):
         vert = Line2(Point2(1.0, 0.0), 0.0)
-        assert intersect_line_circle(vert, UNIT, UPPER).close_to(Point2(0, 1), 1e-15)
+        assert (intersect_line_circle(vert, UNIT, UPPER) - Point2(0, 1)).norm() <= 1e-15
 
     def test_line_missing_circle(self):
         high = Line2(Point2(0.0, 1.0), 2.0)
@@ -149,12 +141,12 @@ class TestIntersections:
     def test_nearest_selector_quadratic_root(self):
         half = Line2(Point2(0.0, 1.0), 0.5)
         p = intersect_line_circle(half, UNIT, nearest_to(Point2(1, 0)))
-        assert p.close_to(Point2(math.sqrt(0.75), 0.5), 1e-12)
+        assert (p - Point2(math.sqrt(0.75), 0.5)).norm() <= 1e-12
 
     def test_nearer_selector(self):
         half = Line2(Point2(0.0, 1.0), 0.5)
         p = intersect_line_circle(half, UNIT, nearer(Point2(1, 0), Point2(-1, 0)))
-        assert p.close_to(Point2(math.sqrt(0.75), 0.5), 1e-12)
+        assert (p - Point2(math.sqrt(0.75), 0.5)).norm() <= 1e-12
         with pytest.raises(AmbiguousSelection):  # both roots are nearer (0, 1) than (0, -1)
             intersect_line_circle(half, UNIT, nearer(Point2(0, 1), Point2(0, -1)))
 
@@ -169,10 +161,10 @@ class TestIntersections:
     def test_circle_circle_upper(self):
         other = Circle2(Point2(1, 0), 1.0)
         p = intersect_circle_circle(UNIT, other, UPPER)
-        assert p.close_to(Point2(0.5, math.sqrt(0.75)), 1e-12)
+        assert (p - Point2(0.5, math.sqrt(0.75))).norm() <= 1e-12
         for root in intersect_circle_circle(UNIT, other, BOTH):
-            assert abs(is_on(root, UNIT)) <= DEFAULT_TOL.eps_incidence
-            assert abs(is_on(root, other)) <= DEFAULT_TOL.eps_incidence
+            assert abs(is_on(root, UNIT)) <= EPS_INCIDENCE
+            assert abs(is_on(root, other)) <= EPS_INCIDENCE
 
     def test_disjoint_circles(self):
         with pytest.raises(NoIntersection):
@@ -191,13 +183,13 @@ class TestIntersections:
         vert = Line2(Point2(1.0, 0.0), 0.0)
         pts = intersect_line_circle(vert, UNIT, BOTH)
         assert len(pts) == 2
-        assert pts[0].close_to(Point2(0, 1), 1e-15) or pts[1].close_to(Point2(0, 1), 1e-15)
+        assert (pts[0] - Point2(0, 1)).norm() <= 1e-15 or (pts[1] - Point2(0, 1)).norm() <= 1e-15
 
 
 class TestCircles:
     def test_circle_through_unit_points(self):
         c = circle_through(Point2(1, 0), Point2(0, 1), Point2(-1, 0))
-        assert c.center.close_to(ORIGIN, 1e-12)
+        assert (c.center - ORIGIN).norm() <= 1e-12
         assert abs(c.radius - 1.0) < 1e-12
 
     def test_collinear_rejected(self):
@@ -206,7 +198,7 @@ class TestCircles:
 
     def test_right_triangle(self):
         c = circle_through(Point2(0, 0), Point2(1, 0), Point2(0, 1))
-        assert c.center.close_to(Point2(0.5, 0.5), 1e-12)
+        assert (c.center - Point2(0.5, 0.5)).norm() <= 1e-12
         assert abs(c.radius - math.sqrt(0.5)) < 1e-12
 
     def test_argument_permutation_invariance(self):
@@ -214,14 +206,14 @@ class TestCircles:
         base = circle_through(*pts)
         for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
             c = circle_through(pts[perm[0]], pts[perm[1]], pts[perm[2]])
-            assert c.center.close_to(base.center, 1e-9)
+            assert (c.center - base.center).norm() <= 1e-9
             assert abs(c.radius - base.radius) < 1e-9
 
     def test_diameter_circle(self):
         c = circle_on_diameter(Point2(0, 0), Point2(2, 0))
-        assert c.center.close_to(Point2(1, 0), 1e-15) and abs(c.radius - 1.0) < 1e-15
+        assert (c.center - Point2(1, 0)).norm() <= 1e-15 and abs(c.radius - 1.0) < 1e-15
         c = circle_on_diameter(Point2(1, 1), Point2(3, 5))
-        assert c.center.close_to(Point2(2, 3), 1e-15) and abs(c.radius - math.sqrt(5)) < 1e-12
+        assert (c.center - Point2(2, 3)).norm() <= 1e-15 and abs(c.radius - math.sqrt(5)) < 1e-12
 
     def test_degenerate_diameter(self):
         with pytest.raises(DegenerateInput):
@@ -236,24 +228,24 @@ class TestCircles:
 
 class TestInversionsAndReflections:
     def test_unit_inversion_examples(self):
-        assert invert_unit(Point2(0.5, 0)).close_to(Point2(2, 0), 1e-15)
-        assert invert_unit(Point2(0.3, 0.4)).close_to(Point2(1.2, 1.6), 1e-12)
+        assert (invert_unit(Point2(0.5, 0)) - Point2(2, 0)).norm() <= 1e-15
+        assert (invert_unit(Point2(0.3, 0.4)) - Point2(1.2, 1.6)).norm() <= 1e-12
 
     def test_origin_inversion_rejected(self):
         with pytest.raises(OriginInversion):
             invert_unit(Point2(0, 0))
 
     def test_reflection_examples(self):
-        assert reflect_in_line(Point2(1, 2), Point2(0, 1), 0.0).close_to(Point2(1, -2), 1e-15)
-        assert reflect_in_line(Point2(2, 0), Point2(1, 0), 1.0).close_to(Point2(0, 0), 1e-15)
+        assert (reflect_in_line(Point2(1, 2), Point2(0, 1), 0.0) - Point2(1, -2)).norm() <= 1e-15
+        assert (reflect_in_line(Point2(2, 0), Point2(1, 0), 1.0) - Point2(0, 0)).norm() <= 1e-15
         on_line = Point2(1.0, 7.3)
-        assert reflect_in_line(on_line, Point2(1, 0), 1.0).close_to(on_line, 1e-15)
+        assert (reflect_in_line(on_line, Point2(1, 0), 1.0) - on_line).norm() <= 1e-15
 
     def test_circle_inversion_examples(self):
-        assert invert_in_circle(Point2(0.5, 0), UNIT).close_to(Point2(2, 0), 1e-15)
+        assert (invert_in_circle(Point2(0.5, 0), UNIT) - Point2(2, 0)).norm() <= 1e-15
         boundary = Point2(math.cos(1.0), math.sin(1.0))
-        assert invert_in_circle(boundary, UNIT).close_to(boundary, 1e-15)
-        assert invert_in_circle(Point2(2, 0), Circle2(Point2(1, 0), 2.0)).close_to(Point2(5, 0), 1e-12)
+        assert (invert_in_circle(boundary, UNIT) - boundary).norm() <= 1e-15
+        assert (invert_in_circle(Point2(2, 0), Circle2(Point2(1, 0), 2.0)) - Point2(5, 0)).norm() <= 1e-12
 
     def test_involutions_random_sweep(self):
         rng = random.Random(20240817)
@@ -261,12 +253,12 @@ class TestInversionsAndReflections:
         for _ in range(1000):
             p = Point2(rng.uniform(-10, 10), rng.uniform(-10, 10))
             if p.norm() > 1e-3:
-                assert invert_unit(invert_unit(p)).close_to(p, 1e-9 * (1 + p.norm()))
+                assert (invert_unit(invert_unit(p)) - p).norm() <= 1e-9 * (1 + p.norm())
             if (p - circle.center).norm() > 1e-3:
-                assert invert_in_circle(invert_in_circle(p, circle), circle).close_to(p, 1e-9 * (1 + p.norm()))
+                assert (invert_in_circle(invert_in_circle(p, circle), circle) - p).norm() <= 1e-9 * (1 + p.norm())
             a, t = Point2(rng.uniform(-2, 2), rng.uniform(-2, 2)), rng.uniform(-3, 3)
             if a.norm() > 1e-6:
-                assert reflect_in_line(reflect_in_line(p, a, t), a, t).close_to(p, 1e-9 * (1 + p.norm()))
+                assert (reflect_in_line(reflect_in_line(p, a, t), a, t) - p).norm() <= 1e-9 * (1 + p.norm())
 
 
 @given(finite_points(8.0), finite_points(8.0))
@@ -280,8 +272,8 @@ def test_intersections_lie_on_carriers(p, q):
     except NoIntersection:
         return
     for pt in pts:
-        assert abs(is_on(pt, l)) <= DEFAULT_TOL.eps_incidence
-        assert abs(is_on(pt, circle)) <= DEFAULT_TOL.eps_incidence
+        assert abs(is_on(pt, l)) <= EPS_INCIDENCE
+        assert abs(is_on(pt, circle)) <= EPS_INCIDENCE
 
 
 class TestPredicates:
@@ -290,17 +282,17 @@ class TestPredicates:
         assert abs(circles_orthogonal(UNIT, other)) < 1e-12
 
     def test_collinear_triple(self):
-        assert abs(collinear(Point2(0, 0), Point2(1, 1), Point2(2, 2))) <= DEFAULT_TOL.eps_incidence
+        assert abs(collinear(Point2(0, 0), Point2(1, 1), Point2(2, 2))) <= EPS_INCIDENCE
 
     def test_tangent_line(self):
         tangent = Line2(Point2(1.0, 0.0), 1.0)
-        assert abs(line_tangent_to_circle(tangent, UNIT)) <= DEFAULT_TOL.eps_incidence
+        assert abs(line_tangent_to_circle(tangent, UNIT)) <= EPS_INCIDENCE
 
     def test_predicate_residuals_scale_aware(self):
         # same shape at 1000x scale must stay within the same tolerance
         big = Circle2(Point2(1000 * math.sqrt(2), 0), 1000.0)
         big_unit = Circle2(ORIGIN, 1000.0)
-        assert abs(circles_orthogonal(big_unit, big)) <= DEFAULT_TOL.eps_incidence
+        assert abs(circles_orthogonal(big_unit, big)) <= EPS_INCIDENCE
 
     def test_is_on_signed_residual(self):
         inside = is_on(Point2(0.5, 0), UNIT)

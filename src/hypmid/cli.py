@@ -1,8 +1,8 @@
 """Command-line front end: midpoints, verification sweeps, scripts, figures.
 
-Exit codes: 0 success, 1 error (``midpoint``: also a result that disagrees
-with the oracle), 2 construction inapplicable to the input (so pipelines can
-fall back to --method auto), 64 usage.
+Exit codes: 0 success, 1 error (``midpoint`` and ``render``: also a result
+that disagrees with the oracle), 2 construction inapplicable to the input (so
+pipelines can fall back to --method auto), 64 usage.
 
 Each command imports the modules it alone runs (``sweeps``, ``script``,
 ``render``) when it runs, so ``hypmid midpoint`` loads none of them.
@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .constructions import AGREEMENT_TOL, METHOD_NAMES, METHODS, ORACLE_FLAG_THRESHOLD, SUITES, MidpointResult, midpoint
+from .constructions import METHOD_NAMES, METHODS, ORACLE_FLAG_THRESHOLD, SUITES, MidpointResult, midpoint
 from .errors import GeometryError, MethodInapplicable
 from .geom2d import Point2
 from .hypmetric import Geodesic, Model, midpoint_oracle
@@ -62,16 +62,6 @@ def _attach_point_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _lacks_method(model: Model, method: str) -> bool:
-    """Print a usage error if the model lacks the method (h2 has no equal, V, VI or angles)."""
-    methods = METHODS[model]
-    if method != "auto" and method not in methods:
-        expected = ", ".join(("auto", *methods))
-        print(f"error: --method {method} is not a {model.value} method; expected {expected}", file=sys.stderr)
-        return True
-    return False
-
-
 def _fmt_pt(p: Point2) -> str:
     return f"{p.x1:.12g},{p.x2:.12g}"
 
@@ -106,34 +96,34 @@ def _midpoint_json(model: Model, x: Point2, y: Point2, method: str, result: Midp
     }
 
 
-def cmd_midpoint(args) -> int:
+def _run_midpoint(args, emit, refusal_json: bool) -> int:
+    """Run ``midpoint`` on the parsed pair, hand its result to ``emit`` and return the exit code.
+
+    64 for a method the model lacks, 2 for a refusal (as JSON if ``refusal_json``),
+    1 for another GeometryError, else emit's code, or 1 if that is 0 and the oracle flags z.
+    """
     model = Model(args.model)
-    if _lacks_method(model, args.method):
+    methods = METHODS[model]  # h2 has no equal, V, VI or angles
+    if args.method != "auto" and args.method not in methods:
+        expected = ", ".join(("auto", *methods))
+        print(f"error: --method {args.method} is not a {model.value} method; expected {expected}", file=sys.stderr)
         return EXIT_USAGE
     try:
         result = midpoint(model, args.x, args.y, args.method)
     except MethodInapplicable as exc:
-        payload = {"error": "MethodInapplicable", "reason": exc.reason, "detail": str(exc)}
-        if exc.fallback is not None:
-            payload["fallback"] = _midpoint_json(model, args.x, args.y, args.method, exc.fallback)
-        if args.plain:
-            print(f"method inapplicable: {exc.reason}: {exc}", file=sys.stderr)
-        else:
+        if refusal_json:
+            payload = {"error": "MethodInapplicable", "reason": exc.reason, "detail": str(exc)}
+            if exc.fallback is not None:
+                payload["fallback"] = _midpoint_json(model, args.x, args.y, args.method, exc.fallback)
             print(json.dumps(payload, sort_keys=True))
+        else:
+            print(f"method inapplicable: {exc.reason}: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if args.plain:
-        print(
-            f"z = {_fmt_pt(result.z)}  method={result.trace.method_id}  "
-            f"residual_rho={result.residual_equal_distance:.3e}  "
-            f"residual_carrier={result.residual_on_geodesic:.3e}  "
-            f"oracle_distance={result.oracle_distance:.3e}"
-        )
-    else:
-        print(json.dumps(_midpoint_json(model, args.x, args.y, args.method, result), sort_keys=True))
-    if result.oracle_disagrees():
+    code = emit(result)
+    if code == EXIT_OK and result.oracle_disagrees():
         oracle = midpoint_oracle(model, args.x, args.y)
         print(
             f"error: z disagrees with the oracle: oracle_distance={result.oracle_distance:.3e} > "
@@ -141,13 +131,29 @@ def cmd_midpoint(args) -> int:
             file=sys.stderr,
         )
         return EXIT_ERROR
-    return EXIT_OK
+    return code
+
+
+def cmd_midpoint(args) -> int:
+    def emit(result: MidpointResult) -> int:
+        if args.plain:
+            print(
+                f"z = {_fmt_pt(result.z)}  method={result.trace.method_id}  "
+                f"residual_rho={result.residual_equal_distance:.3e}  "
+                f"residual_carrier={result.residual_on_geodesic:.3e}  "
+                f"oracle_distance={result.oracle_distance:.3e}"
+            )
+        else:
+            print(json.dumps(_midpoint_json(Model(args.model), args.x, args.y, args.method, result), sort_keys=True))
+        return EXIT_OK
+
+    return _run_midpoint(args, emit, refusal_json=not args.plain)
 
 
 def cmd_verify(args) -> int:
     from . import sweeps
 
-    cfg = sweeps.SweepConfig(samples=args.samples, seed=args.seed, tolerance=args.tol)
+    cfg = sweeps.SweepConfig(samples=args.samples, seed=args.seed)
     results = sweeps.run_suite(args.suite, cfg)
     for r in results:
         print(r.line())
@@ -211,40 +217,41 @@ def cmd_script(args) -> int:
     return EXIT_OK if result.all_assertions_pass() else EXIT_ERROR
 
 
-def cmd_render(args) -> int:
-    from . import render, script
-
-    if args.size <= 0:
-        print("error: --size must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    spec = render.RenderSpec(width=args.size, height=args.size, labels=not args.no_labels)
-    failed = []
+def _write_svg(path: str, svg: str) -> int:
     try:
-        if args.script:
-            program = _load_script(args.script)
-            result = script.evaluate(program)
-            failed = [outcome for outcome in result.assertions if not outcome.passed]
-            svg = render.render_script_result(script.program_model(program), result.bindings, result.outputs, spec)
-        else:
-            if args.x is None or args.y is None or args.model is None:
-                print("error: render needs either --script or --model/--x/--y", file=sys.stderr)
-                return EXIT_USAGE
-            if _lacks_method(Model(args.model), args.method):
-                return EXIT_USAGE
-            result = midpoint(Model(args.model), args.x, args.y, args.method)
-            svg = render.render_trace(result.trace, spec)
-    except MethodInapplicable as exc:
-        print(f"method inapplicable: {exc.reason}: {exc}", file=sys.stderr)
-        return EXIT_INAPPLICABLE
-    except (GeometryError, script.ScriptError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(svg)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    return EXIT_OK
+
+
+def cmd_render(args) -> int:
+    from . import render, script
+
+    try:
+        spec = render.RenderSpec(width=args.size, height=args.size, labels=not args.no_labels)
+    except ValueError as exc:
+        print(f"error: --size: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if not args.script:
+        if args.x is None or args.y is None or args.model is None:
+            print("error: render needs either --script or --model/--x/--y", file=sys.stderr)
+            return EXIT_USAGE
+        return _run_midpoint(
+            args, lambda result: _write_svg(args.out, render.render_trace(result.trace, spec)), refusal_json=False
+        )
+    try:
+        program = _load_script(args.script)
+        result = script.evaluate(program)
+        svg = render.render_script_result(script.program_model(program), result.bindings, result.outputs, spec)
+    except (GeometryError, script.ScriptError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    if _write_svg(args.out, svg) != EXIT_OK:
+        return EXIT_ERROR
+    failed = [outcome for outcome in result.assertions if not outcome.passed]
     for outcome in failed:
         print(_assertion_line(outcome), file=sys.stderr)
     return EXIT_ERROR if failed else EXIT_OK
@@ -266,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all", choices=SUITES)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=AGREEMENT_TOL)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("script", help="run or format .hgc construction scripts")
@@ -292,11 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_point_values(sys.argv[1:] if argv is None else list(argv)))
-    if args.command == "verify":
-        if args.samples <= 0:
-            parser.error("--samples must be positive")
-        if not 0.0 < args.tol < float("inf"):
-            parser.error(f"--tol must be finite and positive, got {args.tol!r}")
+    if args.command == "verify" and args.samples <= 0:
+        parser.error("--samples must be positive")
     return args.func(args)
 
 

@@ -12,7 +12,7 @@ from .disk import (
     bisector_circle,
     scale_sequence,
 )
-from .dispatch import AGREEMENT_TOL, METHOD_NAMES, METHODS, SUITES, midpoint
+from .dispatch import METHOD_NAMES, METHODS, SUITES, midpoint
 from .halfplane import h2_case1, h2_method_I, h2_method_II, h2_method_III, h2_method_IV
 from .trace import (
     ORACLE_FLAG_THRESHOLD,
@@ -22,7 +22,6 @@ from .trace import (
 )
 
 __all__ = [
-    "AGREEMENT_TOL",
     "ConstructionTrace",
     "METHODS",
     "METHOD_NAMES",

@@ -1,19 +1,19 @@
 """Single entry point for midpoint construction with method dispatch.
 
 :data:`METHODS` is each model's method table, and each method refuses a pair
-outside its own cases (:func:`~hypmid.hypmetric.require_case`).
-:func:`midpoint` only routes, wraps refusals and measures: ``auto`` decides
-the pair's case with :func:`~hypmid.hypmetric.pair_kind` to run the method
-:data:`AUTO_METHOD` names for it, and an explicit method runs at once.  A
-typed refusal of an explicit method becomes a :class:`MethodInapplicable`
-named after its class, and every :class:`MethodInapplicable` of an explicit
-method carries auto's result as the fallback, or none if auto fails too.
-Every result carries its Euclidean distance to the closed-form oracle.
+outside its own cases with a :class:`MethodInapplicable`
+(:func:`~hypmid.hypmetric.require_case`).  :func:`midpoint` only routes and
+measures: ``auto`` decides the pair's case with
+:func:`~hypmid.hypmetric.pair_kind` to run the method :data:`AUTO_METHOD`
+names for it, and an explicit method runs at once.  A refusal of an explicit
+method carries auto's result as the fallback, or none if auto fails too or
+its result disagrees with the oracle.  Every result carries its Euclidean
+distance to the closed-form oracle.
 """
 
 from __future__ import annotations
 
-from ..errors import CollinearWithOrigin, EqualModuli, GeometryError, MethodInapplicable, NotOnDiameter, NotVerticallyAligned
+from ..errors import GeometryError, MethodInapplicable
 from ..geom2d import Point2
 from ..hypmetric import Model, PairKind, midpoint_disk_angles, midpoint_oracle, pair_kind, require_case
 from . import disk, halfplane
@@ -57,14 +57,9 @@ METHODS = {Model.HALF_PLANE: H2_METHODS, Model.DISK: B2_METHODS}
 
 METHOD_NAMES = ("auto", *B2_METHODS)
 
-# the typed errors of require_case; an explicit method's becomes a MethodInapplicable
-_REFUSALS = (NotVerticallyAligned, NotOnDiameter, CollinearWithOrigin, EqualModuli)
-
-# the suites of ``hypmid verify`` and its default agreement tolerance; the
-# sweeps read them from here, so the CLI parser names them without importing
-# the sweeps
+# the suites of ``hypmid verify``; the sweeps read them from here, so the CLI
+# parser names them without importing the sweeps
 SUITES = ("h2", "b2", "all")
-AGREEMENT_TOL = 1e-8
 
 # the method ``auto`` runs for each model and pair configuration
 AUTO_METHOD = {
@@ -88,15 +83,15 @@ def midpoint(model: Model, x: Point2, y: Point2, method: str = "auto") -> Midpoi
     if run is None:
         raise ValueError(f"unknown {model.value} method {method!r}; expected one of auto, {', '.join(table)}")
     try:
-        try:
-            result = run(x, y)
-        except _REFUSALS as refusal:
-            raise MethodInapplicable(type(refusal).__name__, str(refusal)) from refusal
+        result = run(x, y)
     except MethodInapplicable as exc:
         if requested != "auto":
             try:
-                exc.fallback = midpoint(model, x, y, "auto")
+                fallback = midpoint(model, x, y, "auto")
             except GeometryError:
                 pass  # auto refuses the pair too: no fallback
+            else:
+                if not fallback.oracle_disagrees():
+                    exc.fallback = fallback
         raise
     return tuple.__new__(MidpointResult, (*result[:4], (result.z - midpoint_oracle(model, x, y)).norm()))

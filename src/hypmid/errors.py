@@ -2,6 +2,7 @@
 
 Degenerate-configuration errors subclass :class:`DegenerateInput` so callers
 can catch the broad class while the message still names the exact failure.
+A pair outside a method's case is refused with a :class:`MethodInapplicable`.
 """
 
 from __future__ import annotations
@@ -20,23 +21,11 @@ class CollinearPoints(DegenerateInput):
 
 
 class CollinearWithOrigin(DegenerateInput):
-    """0, x, y are collinear where a noncollinear triple is required."""
-
-
-class EqualModuli(DegenerateInput):
-    """|x| = |y| where distinct moduli are required."""
+    """0, x, y are collinear where a closed form needs a noncollinear triple."""
 
 
 class RepeatedPoint(DegenerateInput):
     """A tuple of pairwise-distinct points contains a repeat."""
-
-
-class NotVerticallyAligned(DegenerateInput):
-    """Half-plane points are not on a common vertical line."""
-
-
-class NotOnDiameter(DegenerateInput):
-    """Disk points are not on a common diameter."""
 
 
 class OriginInversion(DegenerateInput):
@@ -93,12 +82,14 @@ class ChainSaturated(GeometryError):
 class MethodInapplicable(GeometryError):
     """A specific construction method does not apply to this input.
 
-    ``reason`` is a short machine-readable tag (e.g. ``"EqualModuli"``,
-    ``"ParallelChord"``); ``fallback`` optionally carries a result computed
-    by an applicable method so front ends can still display a midpoint.
+    ``reason`` is a short machine-readable tag: the case mismatch that
+    :func:`~hypmid.hypmetric.require_case` names (e.g. ``"EqualModuli"``) or
+    the method's own refusal (e.g. ``"ParallelChord"``), the same from a direct
+    call as from ``midpoint``.  ``midpoint`` sets ``fallback`` for an explicit
+    method: auto's result, unless auto fails too or disagrees with the oracle.
     """
 
-    def __init__(self, reason: str, message: str = "", fallback=None):
-        super().__init__(message or reason)
+    def __init__(self, reason: str, message: str):
+        super().__init__(message)
         self.reason = reason
-        self.fallback = fallback
+        self.fallback = None

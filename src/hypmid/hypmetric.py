@@ -6,9 +6,10 @@ lines and semicircles centered on the real axis) and the Poincare unit disk
 circle).  :func:`pair_kind` decides a pair's case of the paper's
 constructions and checks its domain and distinctness.  :func:`require_case`
 is every method's precondition: the method names its cases there, once, and
-a pair outside them gets one typed refusal per mismatch.  Each public entry
-point that takes a pair decides it once (a method's precondition, ``auto``'s
-routing, the oracle, :func:`geodesic_of`) and hands the
+a pair outside them gets a :class:`~hypmid.errors.MethodInapplicable` whose
+``reason`` names the mismatch.  Each public entry point that takes a pair
+decides it once (a method's precondition, ``auto``'s routing, the oracle,
+:func:`geodesic_of`) and hands the
 :class:`PairKind` on, so :func:`geodesic_carrier` takes it instead of
 deciding again.  :func:`geodesic_of` adds the ordered ideal endpoints from
 :func:`ideal_ends`, which the ``.hgc`` ``geodesic`` op and
@@ -28,12 +29,9 @@ from .errors import (
     BadAngleOrder,
     CollinearWithOrigin,
     DegenerateInput,
-    EqualModuli,
     MethodInapplicable,
     NotOnArc,
-    NotOnDiameter,
     NotOnUnitCircle,
-    NotVerticallyAligned,
     OutsideDomain,
 )
 from .geom2d import (
@@ -100,22 +98,22 @@ def pair_kind(model: Model, x: Point2, y: Point2) -> PairKind:
     return PairKind.GENERIC
 
 
-def require_case(model: Model, x: Point2, y: Point2, cases: tuple[PairKind, ...]) -> PairKind:
-    """A method's precondition: the pair's case if it is among ``cases``, else its typed refusal."""
+def require_case(model: Model, x: Point2, y: Point2, cases: tuple[PairKind, ...]) -> None:
+    """A method's precondition: a :class:`MethodInapplicable` unless the pair's case is among ``cases``."""
     kind = pair_kind(model, x, y)
     if kind in cases:
-        return kind
+        return
     if model is Model.HALF_PLANE:
         if kind is PairKind.LINE:
             raise MethodInapplicable("VerticalCarrier", "x and y share a vertical geodesic; use the vertical case")
-        raise NotVerticallyAligned(f"x1 differs: {x.x1!r} vs {y.x1!r}")
+        raise MethodInapplicable("NotVerticallyAligned", f"x1 differs: {x.x1!r} vs {y.x1!r}")
     if kind is PairKind.LINE:
-        raise CollinearWithOrigin(f"0, {x}, {y} are collinear")
+        raise MethodInapplicable("CollinearWithOrigin", f"0, {x}, {y} are collinear")
     if PairKind.LINE in cases:
-        raise NotOnDiameter(f"0, {x}, {y} are not collinear")
+        raise MethodInapplicable("NotOnDiameter", f"0, {x}, {y} are not collinear")
     if kind is PairKind.GENERIC:
         raise MethodInapplicable("ModuliDiffer", f"|x| != |y| ({x.norm()!r} vs {y.norm()!r})")
-    raise EqualModuli(f"|x| = |y| = {x.norm()!r}; the bisector circle degenerates")
+    raise MethodInapplicable("EqualModuli", f"|x| = |y| = {x.norm()!r}; the bisector circle degenerates")
 
 
 def rho_halfplane(x: Point2, y: Point2) -> float:

@@ -3,9 +3,9 @@
 Each check runs a deterministic sample sweep (same seed, same report) and
 returns the worst residual against its threshold.  This is the only place a
 claim is judged: the reports of :mod:`hypmid.constructions.reports` return
-residuals by claim, and the checks compare them with ``IDENTITY_TOL``,
-``RATIO_TOL`` or the configured agreement tolerance.  The acceptance suite
-and the ``verify`` CLI command are both thin wrappers over :func:`run_suite`.
+residuals by claim, and the checks compare them with the contract's fixed
+``EPS_INCIDENCE``, ``RATIO_TOL`` or agreement ``ORACLE_FLAG_THRESHOLD``.  The
+acceptance suite and the ``verify`` CLI command are thin wrappers over :func:`run_suite`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 from typing import NamedTuple
 
 from .constructions import (
-    AGREEMENT_TOL,
+    ORACLE_FLAG_THRESHOLD,
     SUITES,
     b2_method_I,
     b2_methods_II_to_VI,
@@ -34,7 +34,7 @@ from .constructions.reports import (
     semicircle_residual,
 )
 from .errors import GeometryError, MethodInapplicable
-from .geom2d import ORIGIN, Point2
+from .geom2d import EPS_INCIDENCE, ORIGIN, Point2
 from .hypmetric import (
     Model,
     midpoint_disk_angles,
@@ -46,7 +46,6 @@ from .hypmetric import (
     rho_via_cross_ratio,
 )
 
-IDENTITY_TOL = 1e-9
 RATIO_TOL = 1e-7
 
 # the admissible disk pairs the sweeps sample
@@ -61,7 +60,7 @@ class SweepConfig(NamedTuple):
 
     samples: int = 1000
     seed: int = 42
-    tolerance: float = AGREEMENT_TOL
+    tolerance = ORACLE_FLAG_THRESHOLD  # the fixed agreement threshold, not a field
 
 
 class CheckResult(NamedTuple):
@@ -168,7 +167,7 @@ def check_metric_agreement(model: Model, cfg: SweepConfig) -> CheckResult:
             closed = rho_disk(x, y)
         via = rho_via_cross_ratio(model, x, y)
         worst = _worse(worst, abs(via - closed) / closed)
-    return _result(f"metric agreement ({model.value})", cfg.samples, worst, IDENTITY_TOL)
+    return _result(f"metric agreement ({model.value})", cfg.samples, worst, EPS_INCIDENCE)
 
 
 def check_h2_concurrency(cfg: SweepConfig) -> list[CheckResult]:
@@ -194,7 +193,7 @@ def check_h2_concurrency(cfg: SweepConfig) -> list[CheckResult]:
         worst_spread = _worse(worst_spread, _spread(candidates))
     return [
         _result("h2 methods I-IV + angle formula concurrency", cfg.samples, worst_spread, cfg.tolerance),
-        _result("h2 midpoint equal-distance", cfg.samples, worst_rho, IDENTITY_TOL),
+        _result("h2 midpoint equal-distance", cfg.samples, worst_rho, EPS_INCIDENCE),
     ]
 
 
@@ -209,7 +208,7 @@ def check_h2_identities(cfg: SweepConfig) -> list[CheckResult]:
         for key, residual in lemma31_report(xu, yu).items():
             worst[key] = _worse(worst.get(key, 0.0), abs(residual))
     return [
-        _result(f"lemma 3.1/prop 3.2: {key}", cfg.samples, value, IDENTITY_TOL)
+        _result(f"lemma 3.1/prop 3.2: {key}", cfg.samples, value, EPS_INCIDENCE)
         for key, value in sorted(worst.items())
     ]
 
@@ -236,8 +235,8 @@ def check_b2_concurrency(cfg: SweepConfig) -> list[CheckResult]:
         worst_spread = _worse(worst_spread, _spread(candidates))
     return [
         _result("b2 methods I-VI + angle formula + oracle concurrency", cfg.samples, worst_spread, cfg.tolerance),
-        _result("b2 midpoint equal-distance", cfg.samples, worst_rho, IDENTITY_TOL),
-        _result("b2 auxiliary points u,v,s,t,k on L(0,z)", cfg.samples, worst_collinear, IDENTITY_TOL),
+        _result("b2 midpoint equal-distance", cfg.samples, worst_rho, EPS_INCIDENCE),
+        _result("b2 auxiliary points u,v,s,t,k on L(0,z)", cfg.samples, worst_collinear, EPS_INCIDENCE),
     ]
 
 
@@ -250,7 +249,7 @@ def check_b2_identities(cfg: SweepConfig) -> list[CheckResult]:
         for key, residual in lemma46_report(x, y).items():
             worst[key] = _worse(worst.get(key, 0.0), abs(residual))
     return [
-        _result(f"lemma 4.6/remark 4.9: {key}", cfg.samples, value, IDENTITY_TOL)
+        _result(f"lemma 4.6/remark 4.9: {key}", cfg.samples, value, EPS_INCIDENCE)
         for key, value in sorted(worst.items())
     ]
 
@@ -271,7 +270,7 @@ def check_projection(cfg: SweepConfig) -> list[CheckResult]:
     closed = abs(2.0 * rho_halfplane(x, y) - 2.0 * math.log(3.0))
     closed = _worse(closed, abs(rho_disk(Point2(0.5, 0.0), Point2(-0.5, 0.0)) - 2.0 * math.log(3.0)))
     return [
-        _result("projection property (random pairs)", n, worst, IDENTITY_TOL),
+        _result("projection property (random pairs)", n, worst, EPS_INCIDENCE),
         _result("projection property (closed form 2 log 3)", 1, closed, 1e-12),
     ]
 
@@ -292,8 +291,8 @@ def check_scale_chain(cfg: SweepConfig) -> list[CheckResult]:
             worst_rho = _worse(worst_rho, abs(rho_disk(ORIGIN, p) - k * c))
             worst_tanh = _worse(worst_tanh, abs(p.norm() - math.tanh(k * math.atanh(r))))
     return [
-        _result("chain rho(0, X_k) = k c (k <= 10)", n, worst_rho, IDENTITY_TOL),
-        _result("chain |X_k| = tanh(k artanh |X_1|)", n, worst_tanh, IDENTITY_TOL),
+        _result("chain rho(0, X_k) = k c (k <= 10)", n, worst_rho, EPS_INCIDENCE),
+        _result("chain |X_k| = tanh(k artanh |X_1|)", n, worst_tanh, EPS_INCIDENCE),
     ]
 
 
@@ -378,7 +377,7 @@ def check_prop47(cfg: SweepConfig, semicircle_cases: int = 50) -> list[CheckResu
         worst_ratio = _worse(worst_ratio, abs(report["z equal rho"]))
         worst_ratio = _worse(worst_ratio, abs(report["S1(c,r_c) orth S1(a,r_a)"]))
     return [
-        _result("prop 4.7 collinearity of 0,b,d and 0,b',d'", cfg.samples, worst_col, IDENTITY_TOL),
+        _result("prop 4.7 collinearity of 0,b,d and 0,b',d'", cfg.samples, worst_col, EPS_INCIDENCE),
         _result("prop 4.7 semicircle case (midpoint/orthogonality/ratio)", semicircle_cases, worst_ratio, RATIO_TOL),
     ]
 

@@ -125,6 +125,14 @@ class TestMidpoint:
         assert (code, plain_err) == (1, err)
         assert plain.rstrip().endswith(f"oracle_distance={payload['oracle_distance']:.3e}")
 
+    def test_refusal_drops_a_fallback_flagged_against_the_oracle(self, capsys):
+        model, x, y = ORACLE_WITNESSES[0]
+        code, out, err = run(capsys, "midpoint", "--model", model, f"--x={x}", f"--y={y}", "--method", "case1")
+        assert (code, err) == (2, "")
+        payload = json.loads(out)
+        assert payload["reason"] == "NotVerticallyAligned"
+        assert "fallback" not in payload
+
     def test_result_that_agrees_with_the_oracle_exits_0(self, capsys):
         code, out, err = run(capsys, "midpoint", "--model", "b2", "--x", "0.5,0", "--y", "0,0.25", "--plain")
         assert (code, err) == (0, "")
@@ -182,12 +190,11 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--samples", "0")
         assert code == 64
 
-    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
-    def test_bad_tol_usage_error(self, capsys, value):
-        code, out, err = run(capsys, "verify", "--suite", "h2", "--samples", "5", "--tol", value)
+    def test_agreement_tolerance_is_not_an_option(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "h2", "--samples", "5", "--tol", "1e-3")
         assert code == 64
         assert out == ""
-        assert "error: --tol must be finite and positive" in err
+        assert "unrecognized arguments: --tol 1e-3" in err
 
     def test_each_suite_runs_only_its_models_checks(self, capsys):
         lines = {}
@@ -358,6 +365,15 @@ class TestRender:
         assert code == 64
         assert err.startswith("error: ") and method in err
         assert not out.exists()
+
+    def test_result_flagged_against_the_oracle_exits_1_after_writing(self, capsys, tmp_path):
+        model, x, y = ORACLE_WITNESSES[0]
+        out = tmp_path / "w.svg"
+        code, stdout, err = run(capsys, "render", "--model", model, f"--x={x}", f"--y={y}", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert out.read_text(encoding="utf-8").startswith("<?xml")
+        _, _, midpoint_err = run(capsys, "midpoint", "--model", model, f"--x={x}", f"--y={y}")
+        assert err == midpoint_err and err.startswith("error: z disagrees with the oracle: ")
 
     def test_inapplicable_method_exit_2(self, capsys, tmp_path):
         code, _, err = run(

@@ -24,16 +24,7 @@ from hypmid import hypmetric, script
 from hypmid.constructions import dispatch
 from hypmid.constructions.reports import lemma46_report
 from hypmid.constructions.trace import OPS, run_op
-from hypmid.errors import (
-    ChainSaturated,
-    CollinearWithOrigin,
-    DegenerateInput,
-    EqualModuli,
-    GeometryError,
-    MethodInapplicable,
-    NotOnDiameter,
-    NotVerticallyAligned,
-)
+from hypmid.errors import ChainSaturated, CollinearWithOrigin, DegenerateInput, GeometryError, MethodInapplicable
 from hypmid.geom2d import ORIGIN, Circle2, Point2, invert_in_circle, is_on, line_through
 from hypmid.hypmetric import Model, midpoint_oracle, rho_disk, rho_halfplane
 from hypmid.sweeps import sample_disk_pair, sample_h2_carrier_pair
@@ -57,8 +48,9 @@ class TestH2Case1:
         assert (h2_case1(Point2(0, 4), Point2(0, 1)).z - Point2(0, 2)).norm() <= 1e-12
 
     def test_not_vertical_rejected(self):
-        with pytest.raises(NotVerticallyAligned):
+        with pytest.raises(MethodInapplicable) as err:
             h2_case1(Point2(0, 1), Point2(1, 4))
+        assert err.value.reason == "NotVerticallyAligned"
 
     def test_equal_points_rejected(self):
         with pytest.raises(DegenerateInput):
@@ -128,12 +120,14 @@ class TestBisectorCircle:
         assert r_w**2 + 1 == pytest.approx(w.norm_sq(), abs=1e-9)
 
     def test_equal_moduli_rejected(self):
-        with pytest.raises(EqualModuli):
+        with pytest.raises(MethodInapplicable) as err:
             bisector_circle(Point2(0.5, 0), Point2(0, 0.5))
+        assert err.value.reason == "EqualModuli"
 
     def test_collinear_rejected(self):
-        with pytest.raises(CollinearWithOrigin):
+        with pytest.raises(MethodInapplicable) as err:
             bisector_circle(Point2(0.2, 0.2), Point2(0.4, 0.4))
+        assert err.value.reason == "CollinearWithOrigin"
 
 
 class TestB2Case1:
@@ -151,8 +145,9 @@ class TestB2Case1:
         assert (res.z - midpoint_oracle(Model.DISK, x, y)).norm() <= 1e-9
 
     def test_off_diameter_rejected(self):
-        with pytest.raises(NotOnDiameter):
+        with pytest.raises(MethodInapplicable) as err:
             b2_case1(Point2(0.5, 0), Point2(0, 0.25))
+        assert err.value.reason == "NotOnDiameter"
 
 
 class TestB2Methods:
@@ -178,8 +173,9 @@ class TestB2Methods:
         assert abs(res.z.cross(u)) / (1 + res.z.norm() * u.norm()) <= 1e-9
 
     def test_mirrored_pair_is_equal_moduli(self):
-        with pytest.raises(EqualModuli):
+        with pytest.raises(MethodInapplicable) as err:
             b2_method_I(Point2(0.5, 0), Point2(0, 0.5))
+        assert err.value.reason == "EqualModuli"
 
     def test_method_I_parallel_chords_on_generic_pair(self):
         # moduli 1.5e-12 apart: generic, yet L(x,y) and L(x^*,y^*) are parallel
@@ -218,8 +214,9 @@ class TestB2EqualModuli:
             b2_equal_moduli(Point2(0.5, 0), Point2(0, 0.25))
 
     def test_collinear_rejected(self):
-        with pytest.raises(CollinearWithOrigin):
+        with pytest.raises(MethodInapplicable) as err:
             b2_equal_moduli(Point2(0.5, 0), Point2(-0.5, 0))
+        assert err.value.reason == "CollinearWithOrigin"
 
 
 class TestScaleSequence:
@@ -335,19 +332,20 @@ CASE_METHOD = {
     },
 }
 
-# (model, method's configuration, pair's configuration) -> typed refusal, reason
+# (model, method's configuration, pair's configuration) -> the refusal's reason
 REFUSAL = {
-    (Model.HALF_PLANE, "line", "generic"): (NotVerticallyAligned, None),
-    (Model.HALF_PLANE, "generic", "line"): (MethodInapplicable, "VerticalCarrier"),
-    (Model.DISK, "line", "equal"): (NotOnDiameter, None),
-    (Model.DISK, "line", "generic"): (NotOnDiameter, None),
-    (Model.DISK, "equal", "line"): (CollinearWithOrigin, None),
-    (Model.DISK, "equal", "generic"): (MethodInapplicable, "ModuliDiffer"),
-    (Model.DISK, "generic", "line"): (CollinearWithOrigin, None),
-    (Model.DISK, "generic", "equal"): (EqualModuli, None),
+    (Model.HALF_PLANE, "line", "generic"): "NotVerticallyAligned",
+    (Model.HALF_PLANE, "generic", "line"): "VerticalCarrier",
+    (Model.DISK, "line", "equal"): "NotOnDiameter",
+    (Model.DISK, "line", "generic"): "NotOnDiameter",
+    (Model.DISK, "equal", "line"): "CollinearWithOrigin",
+    (Model.DISK, "equal", "generic"): "ModuliDiffer",
+    (Model.DISK, "generic", "line"): "CollinearWithOrigin",
+    (Model.DISK, "generic", "equal"): "EqualModuli",
 }
 
-PRECONDITION_ERRORS = (NotVerticallyAligned, NotOnDiameter, CollinearWithOrigin, EqualModuli, MethodInapplicable)
+# a method's refusal, or the collinear triple that the orthogonal circle refuses
+PRECONDITION_ERRORS = (MethodInapplicable, CollinearWithOrigin)
 
 
 class _Routed(Exception):
@@ -393,10 +391,9 @@ def test_case_split_boundaries(case, monkeypatch):
     for kind, (_, fn) in methods.items():
         if kind == config:
             continue
-        error, reason = REFUSAL[(model, kind, config)]
-        with pytest.raises(error) as err:
+        with pytest.raises(MethodInapplicable) as err:
             fn(x, y)
-        assert err.type is error and getattr(err.value, "reason", None) == reason
+        assert err.type is MethodInapplicable and err.value.reason == REFUSAL[(model, kind, config)]
 
 
 class TestTraces:
@@ -637,11 +634,11 @@ def test_each_call_decides_the_pair_kind_once(monkeypatch):
 def test_explicit_mismatch_wraps_the_methods_own_refusal(model, method_config, pair_config):
     x, y = PAIR_OF[(model, pair_config)]
     name, fn = CASE_METHOD[model][method_config]
-    with pytest.raises(GeometryError) as direct:
+    with pytest.raises(MethodInapplicable) as direct:
         fn(x, y)
     with pytest.raises(MethodInapplicable) as err:
         midpoint(model, x, y, name)
-    assert err.value.reason == getattr(direct.value, "reason", type(direct.value).__name__)
+    assert direct.value.reason == err.value.reason == REFUSAL[(model, method_config, pair_config)]
     assert str(err.value) == str(direct.value)
     assert err.value.fallback.z == midpoint(model, x, y).z
 

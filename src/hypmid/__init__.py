@@ -9,7 +9,6 @@ from .geom2d import ORIGIN, Circle2, Line2, Point2
 from .hypmetric import (
     Geodesic,
     Model,
-    OrthoCircle,
     geodesic_of,
     midpoint_disk_angles,
     midpoint_halfplane_unitcircle,
@@ -34,7 +33,6 @@ __all__ = [
     "MidpointResult",
     "Model",
     "ORIGIN",
-    "OrthoCircle",
     "Point2",
     "absolute_ratio",
     "geodesic_of",

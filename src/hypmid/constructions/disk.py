@@ -15,6 +15,7 @@ from ..geom2d import (
     ORIGIN,
     Circle2,
     Point2,
+    Selector,
     nearer,
     nearest_to,
 )
@@ -57,18 +58,18 @@ def b2_case1(x: Point2, y: Point2) -> MidpointResult:
     """Diameter case: z = L(m, n-bar) n L(m-bar, n) with chords at x and y.
 
     m, m-bar (and n, n-bar) are the unit-circle points of the chords through
-    x (and y) perpendicular to the diameter; same-side points are paired.
+    x (and y) perpendicular to the diameter, m and n left of L(x,y).
     """
     require_case(Model.DISK, x, y, (PairKind.LINE,))
     b = _builder("b2-case1", x, y)
     ld = b.step("line", "x", "y", name="Ld", label="L(x,y)")
-    side = ld.n  # unit normal; chord roots sit at +/- this direction
+    left, right = Selector("left", ld), Selector("right", ld)  # the chord roots are mirror images in Ld
     b.step("perp", "Ld", "x", name="Lx", label="L(x)")
     b.step("perp", "Ld", "y", name="Ly", label="L(y)")
-    b.step("intersect", "Lx", "unit", name="m", select=nearest_to(x + side))
-    b.step("intersect", "Lx", "unit", name="mb", label="m̄", select=nearest_to(x - side))
-    b.step("intersect", "Ly", "unit", name="n", select=nearest_to(y + side))
-    b.step("intersect", "Ly", "unit", name="nb", label="n̄", select=nearest_to(y - side))
+    b.step("intersect", "Lx", "unit", name="m", select=left)
+    b.step("intersect", "Lx", "unit", name="mb", label="m̄", select=right)
+    b.step("intersect", "Ly", "unit", name="n", select=left)
+    b.step("intersect", "Ly", "unit", name="nb", label="n̄", select=right)
     b.step("line", "m", "nb", name="L1", label="L(m,n̄)")
     b.step("line", "mb", "n", name="L2", label="L(m̄,n)")
     b.step("intersect", "L1", "L2", name="z", select=nearest_to(x))
@@ -161,10 +162,10 @@ class PointChain(NamedTuple):
 def scale_sequence(x1: Point2, n: int) -> PointChain:
     """Chord construction multiplying the distance from the origin.
 
-    Builds X_{k+1} from the chord through M_{k-1} (top of the perpendicular
-    chord at X_{k-1}) and X_k; each step doubles-and-shifts the geodesic
-    distance so rho(0, X_k) = k c.  Stops with ChainSaturated when X_k is
-    within 1e-12 of the boundary.
+    Builds X_{k+1} from the chord through M_{k-1} (left of L0 on the chord
+    perpendicular to it at X_{k-1}) and X_k; each step doubles-and-shifts the
+    geodesic distance so rho(0, X_k) = k c.  Stops with ChainSaturated when
+    X_k is within 1e-12 of the boundary.
     """
     if n < 1:
         raise ValueError(f"chain length must be >= 1, got {n!r}")
@@ -173,9 +174,9 @@ def scale_sequence(x1: Point2, n: int) -> PointChain:
         raise DegenerateInput("X1 must be distinct from the origin")
     b = TraceBuilder(Model.DISK, "b2-chain", {"X1": x1, "unit": UNIT_CIRCLE, "origin": ORIGIN})
     axis = b.step("line", "origin", "X1", name="L0", label="L(0,X₁)")
-    side = axis.n
+    left, right = Selector("left", axis), Selector("right", axis)  # each chord M_{k-1} N_{k+1} crosses L0
     b.step("perp", "L0", "origin", name="K0", label="L_{0X₁}(0)")
-    b.step("intersect", "K0", "unit", name="M0", label="M₀", select=nearest_to(ORIGIN + side))
+    b.step("intersect", "K0", "unit", name="M0", label="M₀", select=left)
     points = [x1]
     for k in range(1, n):
         xk = points[-1]
@@ -184,14 +185,11 @@ def scale_sequence(x1: Point2, n: int) -> PointChain:
                 f"X_{k} is within 1e-12 of the boundary; cannot continue", last_index=k
             )
         b.step("perp", "L0", f"X{k}", name=f"K{k}", label=f"L_{{0X₁}}(X{k})")
-        b.step("intersect", f"K{k}", "unit", name=f"M{k}", label=f"M{k}", select=nearest_to(xk + side))
+        b.step("intersect", f"K{k}", "unit", name=f"M{k}", label=f"M{k}", select=left)
         b.step("line", f"M{k - 1}", f"X{k}", name=f"C{k + 1}", label=f"L(M{k - 1},X{k})")
-        prev_m = b.env[f"M{k - 1}"]
-        roots = b.both_roots(f"C{k + 1}", "unit")
-        second = max(roots, key=lambda p: (p - prev_m).norm())
-        b.step("intersect", f"C{k + 1}", "unit", name=f"N{k + 1}", label=f"N{k + 1}", select=nearest_to(second))
+        b.step("intersect", f"C{k + 1}", "unit", name=f"N{k + 1}", label=f"N{k + 1}", select=right)
         b.step("perp", "L0", f"N{k + 1}", name=f"Kn{k + 1}", label=f"L_{{0X₁}}(N{k + 1})")
         nxt = b.step("intersect", f"Kn{k + 1}", "L0", name=f"X{k + 1}", label=f"X{k + 1}", select=nearest_to(xk))
         points.append(nxt)
-    trace = b.finish(f"X{n}" if n > 1 else "X1", points[-1])
+    trace = b.finish(f"X{n}" if n > 1 else "X1")
     return PointChain(base=x1, points=tuple(points), c=rho_disk(ORIGIN, x1), trace=trace)

@@ -14,6 +14,7 @@ from ..geom2d import (
     UPPER,
     Line2,
     Point2,
+    Selector,
     nearer,
     nearest_to,
 )
@@ -49,22 +50,21 @@ def h2_case1(x: Point2, y: Point2) -> MidpointResult:
     if x.x2 > y.x2:
         x, y = y, x
     b = _builder("h2-case1", x, y)
-    b.step("line", "x", "y", name="Lxy", label="L(x,y)")
+    lxy = b.step("line", "x", "y", name="Lxy", label="L(x,y)")
+    left, right = Selector("left", lxy), Selector("right", lxy)  # circles centred on Lxy meet in mirror images in it
     b.step("intersect", "Lxy", "axis", name="o", select=nearest_to(x))
     b.step("circle_diameter", "x", "y", name="C1", label="S¹((x+y)/2,|x-y|/2)")
 
     # Euclidean midpoint of [x, y] by compass: two circles, their chord, the line
     b.step("circle", "x", "y", name="Cx")
     b.step("circle", "y", "x", name="Cy")
-    span = (y - x).norm()
-    side = Point2(x.x1 + span, (x.x2 + y.x2) / 2.0)
-    b.step("intersect", "Cx", "Cy", name="p", select=nearest_to(side))
-    b.step("intersect", "Cx", "Cy", name="q", select=nearest_to(Point2(x.x1 - span, side.x2)))
+    b.step("intersect", "Cx", "Cy", name="p", select=right)
+    b.step("intersect", "Cx", "Cy", name="q", select=left)
     b.step("line", "p", "q", name="Lpq", label="L(p,q)")
     b.step("intersect", "Lpq", "Lxy", name="n", select=nearest_to(x))
 
     b.step("circle_diameter", "o", "n", name="C2", label="S¹((o+n)/2,|o-n|/2)")
-    b.step("intersect", "C1", "C2", name="a", select=nearest_to(Point2(x.x1 + y.x2, x.x2)))
+    b.step("intersect", "C1", "C2", name="a", select=right)
     b.step("circle", "o", "a", name="C3", label="S¹(o,|a|)")
     b.step("intersect", "Lxy", "C3", name="z", select=UPPER)
     return make_midpoint_result(b, x, y, "z", PairKind.LINE)

@@ -85,8 +85,8 @@ def lemma31_report(x: Point2, y: Point2) -> dict[str, float | None]:
 
     z = midpoint_halfplane_unitcircle(alpha, beta)
     xst, yst = Point2(1.0, 0.0), Point2(-1.0, 0.0)
-    ortho = ortho_circle_through(x, y)
-    a, sa = ortho.a, ortho.as_circle()
+    sa = ortho_circle_through(x, y)
+    a = sa.center
     v = intersect_line_line(line_through(x, xst), line_through(y, yst))
 
     w_finite = abs(math.cos((beta + alpha) / 2.0)) > EPS_DEGENERATE

@@ -13,7 +13,8 @@ Step inputs are names of previously produced objects or of the initial data.
 Where a step needs a point and the named object is a circle, the circle's
 center is used: once a circle is drawn its center is known, and the paper's
 step tables treat centers the same way.  Selector anchors are stored by value
-inside the step, so a trace written out as a script reruns bit for bit.
+inside the step, so a trace written out as a script reruns bit for bit; the
+line of a ``left``/``right`` selector is itself a step of the same trace.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import NamedTuple
 
 from ..errors import GeometryError, NoIntersection
 from ..geom2d import (
-    BOTH,
     EPS_INCIDENCE,
     Circle2,
     Line2,
@@ -83,7 +83,7 @@ class ConstructionTrace(NamedTuple):
     initial: tuple[tuple[str, object], ...]
     steps: tuple[ConstructionStep, ...]
     result: Point2
-    result_name: str | None
+    result_name: str
     method_id: str
 
     def objects(self):
@@ -166,14 +166,17 @@ def _as_radius(value):
 
 def _as_selector(selector: Selector) -> Selector:
     anchor = selector.anchor
+    kind = selector.kind
+    if kind == "left" or kind == "right":  # a side's anchor is a line
+        return selector if anchor.__class__ is Line2 else Selector(kind, _as_line(anchor))
     if anchor is None or isinstance(anchor, Point2):
         return selector
     if isinstance(anchor, tuple):  # nearer's anchor is a pair of points
         near, far = anchor
         if isinstance(near, Point2) and isinstance(far, Point2):
             return selector
-        return Selector(selector.kind, (_as_point(near), _as_point(far)))
-    return Selector(selector.kind, _as_point(anchor))
+        return Selector(kind, (_as_point(near), _as_point(far)))
+    return Selector(kind, _as_point(anchor))
 
 
 # kind -> (types passed on unchanged, coercion of any other value)
@@ -274,7 +277,7 @@ OPS: dict[str, Op] = {
     "circle_through": Op(lambda p, q, r: circle_through(p, q, r), (_P, _P, _P), "circle"),
     "circle_diameter": Op(lambda p, q: circle_on_diameter(p, q), (_P, _P), "circle"),
     # drawn from its closed-form center, accurate even for near-diameter carriers
-    "ortho_circle": Op(lambda x, y: ortho_circle_through(x, y).as_circle(), (_P, _P), "circle"),
+    "ortho_circle": Op(lambda x, y: ortho_circle_through(x, y), (_P, _P), "circle"),
     "geodesic": Op(lambda m, x, y: geodesic_of(m, x, y), ("model", _P, _P), "geodesic"),
     "invert": Op(lambda p: invert_unit(p), (_P,), _P),
     "reflect_real": Op(lambda p: reflect_in_line(p, _AXIS_NORMAL, 0.0), (_P,), _P),
@@ -328,12 +331,6 @@ class TraceBuilder:
         self.steps.append(tuple.__new__(ConstructionStep, (op, refs, name, label or name, data, value)))
         return value
 
-    def both_roots(self, a_ref: str, b_ref: str) -> tuple:
-        """Peek at both intersection points without recording a step."""
-        return run_op("intersect", [self.env[a_ref], self.env[b_ref], BOTH])
-
-    def finish(self, result_name: str | None, result: Point2 | None = None) -> ConstructionTrace:
-        if result is None:
-            result = self.env[result_name]
-        fields = (self.model, self._initial, tuple(self.steps), result, result_name, self.method_id)
+    def finish(self, result_name: str) -> ConstructionTrace:
+        fields = (self.model, self._initial, tuple(self.steps), self.env[result_name], result_name, self.method_id)
         return tuple.__new__(ConstructionTrace, fields)

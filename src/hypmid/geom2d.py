@@ -172,13 +172,14 @@ class Selector(Slotted):
 
     ``kind`` is one of ``upper`` (x2 > 0), ``in_disk`` (|p| < 1),
     ``boundary`` (on the real axis), ``nearest`` (anchor point required),
-    ``nearer`` (anchor a pair (p, q): the root strictly nearer p than q) or
-    ``both`` (return the candidate tuple unfiltered).
+    ``nearer`` (anchor a pair (p, q): the root strictly nearer p than q),
+    ``left``/``right`` (anchor a line: the root with n.p > c, left of P->Q for
+    ``line_through(P, Q)``, or n.p < c) or ``both`` (all candidates).
     """
 
     __slots__ = ("kind", "anchor")
 
-    def __init__(self, kind: str, anchor: Point2 | None = None):
+    def __init__(self, kind: str, anchor=None):
         self.kind = kind
         self.anchor = anchor
 
@@ -296,6 +297,17 @@ def _apply_selector(candidates, selector: Selector, scale: float):
     elif kind == "nearer":
         near, far = selector.anchor
         kept = [p for p in candidates if nearer_than(p, near, far)]
+    elif kind == "left" or kind == "right":
+        if len(candidates) == 1:  # a lone root is kept, as nearest keeps it
+            return candidates[0]
+        line = selector.anchor
+        n1, n2, c = line.n.x1, line.n.x2, line.c
+        sign = 1.0 if kind == "left" else -1.0
+        p, q = candidates
+        p_kept = sign * (n1 * p.x1 + n2 * p.x2 - c) > 0.0
+        if p_kept is not (sign * (n1 * q.x1 + n2 * q.x2 - c) > 0.0):
+            return p if p_kept else q
+        kept = candidates if p_kept else []
     else:
         raise ValueError(f"unknown selector kind {kind!r}")
     if len(kept) != 1:

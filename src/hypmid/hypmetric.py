@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import NamedTuple
 
 from .errors import (
     BadAngleOrder,
@@ -143,18 +142,8 @@ def rho(model: Model, x: Point2, y: Point2) -> float:
     return rho_halfplane(x, y) if model is Model.HALF_PLANE else rho_disk(x, y)
 
 
-class OrthoCircle(NamedTuple):
-    """Circle S(a, r_a) orthogonal to the unit circle: |a|^2 = 1 + r_a^2."""
-
-    a: Point2
-    r_a: float
-
-    def as_circle(self) -> Circle2:
-        return Circle2(self.a, self.r_a)
-
-
-def ortho_circle_through(x: Point2, y: Point2) -> OrthoCircle:
-    """Center and radius of the circle through x, y, x*, y* orthogonal to S1.
+def ortho_circle_through(x: Point2, y: Point2) -> Circle2:
+    """The circle S(a, r_a) through x, y, x*, y*, orthogonal to S1: |a|^2 = 1 + r_a^2.
 
     a = i (y(1+|x|^2) - x(1+|y|^2)) / (2 (x2 y1 - x1 y2)),
     r_a = |x-y| |x|y|^2 - y| / (2 |y| |x1 y2 - x2 y1|),
@@ -171,8 +160,7 @@ def ortho_circle_through(x: Point2, y: Point2) -> OrthoCircle:
     ny2 = y1 * y1 + y2 * y2
     a = 1j * (zy * (1.0 + (x1 * x1 + x2 * x2)) - zx * (1.0 + ny2)) / (2.0 * -det)
     r_a = math.hypot(x1 - y1, x2 - y2) * abs(zx * ny2 - zy) / (2.0 * ny * abs(det))
-    # tuple.__new__ skips the generated NamedTuple __new__, a Python frame
-    return tuple.__new__(OrthoCircle, (Point2(a.real, a.imag), r_a))
+    return Circle2(Point2(a.real, a.imag), r_a)
 
 
 class Geodesic(Slotted):
@@ -191,20 +179,21 @@ class Geodesic(Slotted):
         self.ideal_endpoints = ideal_endpoints
 
 
-def signed_arc_angle(p: Point2, ortho: OrthoCircle) -> float:
+def signed_arc_angle(p: Point2, ortho: Circle2) -> float:
     """Signed angle of p at the center a, measured from the ray a -> 0.
 
     The sign convention is Im(p) after rotating a onto the positive real
     axis, matching the sgn(Im) convention used by the angle formulas.
     """
-    rot = p.as_complex() * ortho.a.conj().as_complex() / ortho.a.norm()
-    return math.atan2(rot.imag, ortho.a.norm() - rot.real)
+    rot = p.as_complex() * ortho.center.conj().as_complex() / ortho.center.norm()
+    return math.atan2(rot.imag, ortho.center.norm() - rot.real)
 
 
-def arc_point(t: float, ortho: OrthoCircle) -> Point2:
+def arc_point(t: float, ortho: Circle2) -> Point2:
     """Inverse of :func:`signed_arc_angle`: the carrier point at signed angle t."""
-    local = complex(ortho.a.norm() - ortho.r_a * math.cos(t), ortho.r_a * math.sin(t))
-    return Point2.from_complex(local * ortho.a.as_complex() / ortho.a.norm())
+    a, r_a = ortho.center, ortho.radius
+    local = complex(a.norm() - r_a * math.cos(t), r_a * math.sin(t))
+    return Point2.from_complex(local * a.as_complex() / a.norm())
 
 
 def unit_circle_crossings(a: Point2) -> tuple[Point2, Point2]:
@@ -239,7 +228,7 @@ def geodesic_carrier(model: Model, x: Point2, y: Point2, kind: PairKind) -> Carr
         d = (y - x) * (1.0 / (y - x).norm())
         n = d.perp()
         return Line2(n, n.dot(x))
-    return ortho_circle_through(x, y).as_circle()
+    return ortho_circle_through(x, y)
 
 
 def ideal_ends(model: Model, carrier: Carrier, x: Point2, y: Point2) -> tuple[ExtendedPoint, ExtendedPoint]:
@@ -297,7 +286,7 @@ def _arc_coordinate(t: float, big_a: float) -> float:
     return math.log((1.0 + tau) / (1.0 - tau))
 
 
-def rho_disk_arc(w: float, v: Point2, ortho: OrthoCircle) -> float:
+def rho_disk_arc(w: float, v: Point2, ortho: Circle2) -> float:
     """Arc distance from the carrier point (w, 0) to v via the A tan(theta/2) form.
 
     ``w`` is the radial coordinate of the point where the arc crosses the
@@ -307,12 +296,13 @@ def rho_disk_arc(w: float, v: Point2, ortho: OrthoCircle) -> float:
     if not (0.0 < w < 1.0):
         raise NotOnArc(f"w must lie in (0, 1), got {w!r}")
     pw = Point2(w, 0.0)
+    a, r_a = ortho.center, ortho.radius
     for p in (pw, v):
-        if abs((p - ortho.a).norm() - ortho.r_a) > EPS_INCIDENCE * (1.0 + ortho.r_a):
-            raise NotOnArc(f"{p} is not on the circle S({ortho.a}, {ortho.r_a})")
+        if abs((p - a).norm() - r_a) > EPS_INCIDENCE * (1.0 + r_a):
+            raise NotOnArc(f"{p} is not on the circle S({a}, {r_a})")
         if p.norm() >= 1.0:
             raise NotOnArc(f"{p} is not inside the unit disk")
-    big_a = math.sqrt(1.0 + ortho.r_a * ortho.r_a) + ortho.r_a
+    big_a = math.sqrt(1.0 + r_a * r_a) + r_a
     tw = signed_arc_angle(pw, ortho)
     tv = signed_arc_angle(v, ortho)
     return abs(_arc_coordinate(tv, big_a) - _arc_coordinate(tw, big_a))
@@ -328,7 +318,7 @@ def midpoint_disk_angles(x: Point2, y: Point2) -> Point2:
     """
     require_in_domain(Model.DISK, x, y)
     ortho = ortho_circle_through(x, y)
-    big_a = math.sqrt(1.0 + ortho.r_a * ortho.r_a) + ortho.r_a
+    big_a = math.sqrt(1.0 + ortho.radius * ortho.radius) + ortho.radius
     alpha = signed_arc_angle(x, ortho)
     beta = signed_arc_angle(y, ortho)
     c = math.exp((_arc_coordinate(alpha, big_a) + _arc_coordinate(beta, big_a)) / 2.0)

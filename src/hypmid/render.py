@@ -177,7 +177,7 @@ def render_trace(trace: ConstructionTrace, spec: RenderSpec = RenderSpec()) -> s
     for step in trace.steps:
         labels[step.produces] = step.label
     named = [(labels.get(name, name), value) for name, value in objects if name not in ("unit", "axis")]
-    if trace.result_name is None or trace.result_name not in {n for n, _ in objects}:
+    if trace.result_name not in {n for n, _ in objects}:  # a closed form's z is no step
         named.append(("z", trace.result))
         result = {"z"}
     else:

@@ -14,7 +14,7 @@ Statement forms::
                 | circle_diameter(A, B) | ortho_circle(A, B)
     geodesic NAME = geodesic(h2|b2, A, B)
     NAME = intersect(A, B) | intersect_unit_ortho(C) | intersect_radius_ortho(L, C)
-           select upper|in_disk|boundary|nearest P|nearer P than Q
+           select upper|in_disk|boundary|nearest P|nearer P than Q|left of L|right of L
     NAME = invert(P) | reflect_real(P) | midpoint_oracle(h2|b2, A, B)
     assert on(P, C) | orthogonal(A, B) | tangent(L, C) | collinear(P, Q, R)
          | equal_rho(h2|b2, A, B, C, D) | equals(P, Q)   [tol NUMBER]
@@ -114,7 +114,7 @@ class SelectorNode(Slotted):
 
     def __init__(self, kind: str, anchor=None):
         self.kind = kind
-        self.anchor = anchor  # Ref | PointLit | Call, or a pair of them for nearer
+        self.anchor = anchor  # Ref | PointLit | Call (a line for left/right), or a pair of them for nearer
 
 
 class Call(Slotted):
@@ -191,7 +191,7 @@ class Program(Slotted):
                 yield item
 
 
-_SELECTOR_KEYWORDS = ("upper", "in_disk", "boundary", "nearest", "nearer")
+_SELECTOR_KEYWORDS = ("upper", "in_disk", "boundary", "nearest", "nearer", "left", "right")
 _BINDING_KEYWORDS = ("point", "line", "circle", "geodesic")
 _STATEMENT_STARTS = (*_BINDING_KEYWORDS, "assert", "output", "name")
 _MODEL_TAGS = ("h2", "b2")
@@ -327,6 +327,9 @@ class Parser:
         if keyword == "nearest":
             anchor, i = self._parse_arg(i + 1)
             return SelectorNode("nearest", anchor), i
+        if keyword == "left" or keyword == "right":
+            anchor, i = self._parse_arg(self._expect(i + 1, "of"))
+            return SelectorNode(keyword, anchor), i
         if keyword == "nearer":
             near, i = self._parse_arg(i + 1)
             far, i = self._parse_arg(self._expect(i, "than"))
@@ -431,6 +434,8 @@ def _fmt_node(node) -> str:
             return f"nearest {_fmt_node(node.anchor)}"
         if node.kind == "nearer":
             return f"nearer {_fmt_node(node.anchor[0])} than {_fmt_node(node.anchor[1])}"
+        if node.anchor is not None:  # left or right
+            return f"{node.kind} of {_fmt_node(node.anchor)}"
         return node.kind
     if isinstance(node, Call):
         args = node.args

@@ -423,7 +423,10 @@ SCRIPT_CASES = {
 
 
 def trace_as_hgc(trace) -> str:
-    """A recorded construction as .hgc text: one binding per step, then its output."""
+    """A recorded construction as .hgc text: one binding per step, then its output.
+
+    A side selector's line is a recorded object; it is written by its name.
+    """
     lines = []
     for name, value in trace.initial:
         if name in script.BUILTINS:
@@ -441,6 +444,9 @@ def trace_as_hgc(trace) -> str:
             elif selector.kind == "nearer":
                 near, far = anchor
                 text += f" select nearer ({near.x1!r}, {near.x2!r}) than ({far.x1!r}, {far.x2!r})"
+            elif selector.kind in ("left", "right"):
+                (line,) = [name for name, value in trace.objects() if value is anchor]
+                text += f" select {selector.kind} of {line}"
             else:
                 text += f" select nearest ({anchor.x1!r}, {anchor.x2!r})"
         lines.append(text)

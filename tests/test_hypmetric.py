@@ -23,7 +23,6 @@ from hypmid.constructions.halfplane import h2_method_II
 from hypmid.geom2d import Circle2, Line2, Point2, invert_in_circle
 from hypmid.hypmetric import (
     Model,
-    OrthoCircle,
     arc_point,
     geodesic_of,
     midpoint_disk_angles,
@@ -83,8 +82,8 @@ class TestDistances:
 class TestOrthoCircle:
     def test_spec_example(self):
         oc = ortho_circle_through(Point2(0.5, 0), Point2(0, 0.5))
-        assert (oc.a - Point2(1.25, 1.25)).norm() <= 1e-12
-        assert oc.r_a == pytest.approx(math.sqrt(2.125), abs=1e-12)
+        assert (oc.center - Point2(1.25, 1.25)).norm() <= 1e-12
+        assert oc.radius == pytest.approx(math.sqrt(2.125), abs=1e-12)
 
     def test_collinear_with_origin_rejected(self):
         with pytest.raises(CollinearWithOrigin):
@@ -100,10 +99,10 @@ class TestOrthoCircle:
             if abs(x.cross(y)) / (x.norm() * y.norm()) < 1e-3:
                 continue
             oc = ortho_circle_through(x, y)
-            scale = 1e-9 * (1.0 + oc.a.norm_sq())
-            assert abs(oc.a.norm_sq() - oc.r_a**2 - 1.0) <= scale
-            assert abs((x - oc.a).norm() - oc.r_a) <= scale
-            assert abs((y - oc.a).norm() - oc.r_a) <= scale
+            scale = 1e-9 * (1.0 + oc.center.norm_sq())
+            assert abs(oc.center.norm_sq() - oc.radius**2 - 1.0) <= scale
+            assert abs((x - oc.center).norm() - oc.radius) <= scale
+            assert abs((y - oc.center).norm() - oc.radius) <= scale
 
 
 class TestGeodesics:
@@ -161,8 +160,7 @@ class TestGeodesics:
                 u = y - x
                 order = [p.dot(u) for p in (xs, x, y, ys)]
             else:
-                ortho = OrthoCircle(g.carrier.center, g.carrier.radius)
-                order = [signed_arc_angle(p, ortho) for p in (xs, x, y, ys)]
+                order = [signed_arc_angle(p, g.carrier) for p in (xs, x, y, ys)]
             assert order == sorted(order) or order == sorted(order, reverse=True), (x, y, order)
             assert len(set(order)) == 4, (x, y, order)
             kinds.add(type(g.carrier))
@@ -263,7 +261,7 @@ class TestDiskArcDistance:
 
     def test_a_constant_value(self):
         oc = ortho_circle_through(Point2(0.5, 0), Point2(0, 0.5))
-        big_a = math.sqrt(1 + oc.r_a**2) + oc.r_a
+        big_a = math.sqrt(1 + oc.radius**2) + oc.radius
         assert big_a == pytest.approx(3.2255049266776943, abs=1e-12)
 
     def test_apex_distance_sweep(self):
@@ -534,7 +532,7 @@ def test_rho_invariant_under_disk_preserving_inversion():
         v = Point2(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
         if abs(w.cross(v)) / (w.norm() * max(v.norm(), 1e-9)) < 1e-2:
             continue
-        circle = ortho_circle_through(w, v).as_circle()  # inversion circle orthogonal to S1
+        circle = ortho_circle_through(w, v)  # inversion circle orthogonal to S1
         try:
             fx, fy = invert_in_circle(x, circle), invert_in_circle(y, circle)
         except CenterInversion:
@@ -553,7 +551,6 @@ def test_rho_dispatcher():
 def test_infinity_endpoint_for_vertical_geodesics():
     g = geodesic_of(Model.HALF_PLANE, Point2(2, 5), Point2(2, 1))
     assert g.ideal_endpoints[0] is INFINITY
-    assert isinstance(OrthoCircle(Point2(1.25, 1.25), math.sqrt(2.125)).as_circle(), Circle2)
 
 
 # points outside each model's domain: nan, +-inf, |x| = 1 in b2, x2 = 0 and -0.0 in h2

@@ -7,12 +7,12 @@ from importlib import resources
 
 import pytest
 
-from hypmid import script
-from hypmid.constructions import midpoint
+from hypmid import cli, script
+from hypmid.constructions import midpoint, scale_sequence
 from hypmid.constructions.trace import OPS
 from hypmid.errors import GeometryError
 from hypmid.geom2d import Point2, Selector
-from hypmid.hypmetric import Model
+from hypmid.hypmetric import Model, midpoint_oracle
 from hypmid.sweeps import MAX_MODULUS, sample_disk_pair, sample_h2_carrier_pair
 
 BROKEN_DIR = pathlib.Path(__file__).parent / "fixtures" / "broken"
@@ -216,6 +216,8 @@ WRONG_KINDS = [
     ("p = intersect_radius_ortho(L, L) select in_disk", "expected a circle, got Line2"),
     ("p = intersect(x, C) select nearest x", "expected a line, circle or geodesic, got Point2"),
     ("assert on(x, x)", "expected a line, circle or geodesic, got Point2"),
+    ("p = intersect(L, C) select left of x", "expected a line, got Point2"),
+    ("p = intersect(L, C) select right of C", "expected a line, got Circle2"),
 ]
 
 
@@ -308,11 +310,18 @@ class TestCorpus:
 METHOD_SCRIPTS = {
     **{f"b2_method_{m.lower()}.hgc": (Model.DISK, m) for m in ("I", "II", "III", "IV", "V", "VI")},
     "b2_equal_moduli.hgc": (Model.DISK, "equal"),
+    "b2_case1.hgc": (Model.DISK, "case1"),
+    "b2_chain.hgc": (Model.DISK, "chain"),
     **{f"h2_method_{m.lower()}.hgc": (Model.HALF_PLANE, m) for m in ("I", "II", "III", "IV")},
 }
 
 
+def _polar(r: float, a: float) -> Point2:
+    return Point2(r * math.cos(a), r * math.sin(a))
+
+
 def _seeded_pairs(model: Model, method: str, n: int = 200) -> list:
+    """Seeded inputs of a method: (x, y) pairs, or (x1, None) for the chain."""
     rng = random.Random(f"{model.value}/{method}")
     pairs = []
     for _ in range(n):
@@ -321,11 +330,44 @@ def _seeded_pairs(model: Model, method: str, n: int = 200) -> list:
         elif method == "equal":
             r, a = rng.uniform(0.05, MAX_MODULUS), rng.uniform(0.0, math.tau)
             b = a + rng.choice((-1.0, 1.0)) * rng.uniform(0.05, math.pi - 0.05)
-            x, y = Point2(r * math.cos(a), r * math.sin(a)), Point2(r * math.cos(b), r * math.sin(b))
+            x, y = _polar(r, a), _polar(r, b)
+        elif method == "case1":  # a diameter at any angle
+            a = rng.uniform(0.0, math.tau)
+            x, y = _polar(rng.uniform(-MAX_MODULUS, MAX_MODULUS), a), _polar(rng.uniform(-MAX_MODULUS, MAX_MODULUS), a)
+        elif method == "chain":  # X_1 anywhere off the origin, in both half-planes
+            x, y = _polar(rng.uniform(0.05, MAX_MODULUS), rng.uniform(0.0, math.tau)), None
         else:
             x, y = sample_disk_pair(rng)  # any angle at 0, so acute ones too
         pairs.append((x, y))
     return pairs
+
+
+def _chain_point(x1: Point2, k: int) -> Point2:
+    """X_k on the ray through X_1 with rho(0, X_k) = k rho(0, X_1)."""
+    r = x1.norm()
+    return x1 * (math.tanh(k * math.atanh(r)) / r)
+
+
+def _library_run(model: Model, method: str, x: Point2, y: Point2 | None):
+    """The library's trace and outputs for a script's inputs, and the binds that give them to the script.
+
+    The binds set the script's expected-value literals too, so its assertions hold
+    off its shipped inputs.  b2_chain.hgc names the chain's base point x1, the
+    trace X1.
+    """
+    if method == "chain":
+        chain = scale_sequence(x, 3)
+        binds = {"x1": x, "x2exp": _chain_point(x, 2), "x3exp": _chain_point(x, 3)}
+        return chain.trace, (("X2", chain.points[1]), ("X3", chain.points[2])), binds
+    res = midpoint(model, x, y, method)
+    binds = {"x": x, "y": y}
+    if method == "case1":
+        binds["zexp"] = midpoint_oracle(model, x, y)
+    return res.trace, (("z", res.z),), binds
+
+
+def _corpus_program(name: str) -> script.Program:
+    return script.parse((resources.files("hypmid") / "corpus" / name).read_text(encoding="utf-8"))
 
 
 def _selector_of(node, env: dict) -> Selector:
@@ -338,33 +380,91 @@ def _selector_of(node, env: dict) -> Selector:
 @pytest.mark.parametrize("name", sorted(METHOD_SCRIPTS))
 def test_method_script_runs_its_library_method(name):
     model, method = METHOD_SCRIPTS[name]
-    program = script.parse((resources.files("hypmid") / "corpus" / name).read_text(encoding="utf-8"))
+    program = _corpus_program(name)
     lines = {b.name: b.expr for b in program.statements() if isinstance(b, script.Binding)}
-    shipped = tuple(Point2(lines[n].x, lines[n].y) for n in ("x", "y"))
-    ran = acute = 0
+    if method == "chain":
+        shipped = (Point2(lines["x1"].x, lines["x1"].y), None)
+    else:
+        shipped = tuple(Point2(lines[n].x, lines[n].y) for n in ("x", "y"))
+    script_name = {"X1": "x1"}.get
+    ran = spread = 0
     for x, y in [shipped, *_seeded_pairs(model, method)]:
         try:
-            res = midpoint(model, x, y, method)
+            trace, outputs, binds = _library_run(model, method, x, y)
         except GeometryError:
             continue
-        result = script.evaluate(program, bind={"x": x, "y": y})
+        result = script.evaluate(program, bind=binds)
         env = result.bindings
-        produced = [step.produces for step in res.trace.steps]
+        produced = [step.produces for step in trace.steps]
         assert [n for n in lines if n in produced] == produced  # in the library's order
-        for step in res.trace.steps:
+        for step in trace.steps:
             # the same op on the same names, with the same selector rule, binds the same value
             expr = lines[step.produces]
             args = [a for a in expr.args if not isinstance(a, script.SelectorNode)]
             selects = tuple(_selector_of(a, env) for a in expr.args if isinstance(a, script.SelectorNode))
-            assert (expr.fn, tuple(a.name for a in args), selects) == (step.kind, step.inputs, step.data), step
+            inputs = tuple(script_name(n, n) for n in step.inputs)
+            assert (expr.fn, tuple(a.name for a in args), selects) == (step.kind, inputs, step.data), step
             assert env[step.produces] == step.result, (x, y, step.produces)
-        assert result.outputs == (("z", res.z),)
+        assert result.outputs == outputs
         failed = [a for a in result.assertions if not a.passed]
         assert not failed, (x, y, failed)
         ran += 1
-        acute += x.dot(y) > 0.0
+        spread += (x.x2 if y is None else x.dot(y)) > 0.0  # acute pairs; X_1 in the upper half-plane
     assert ran >= 190
-    assert model is Model.HALF_PLANE or acute >= 50
+    assert model is Model.HALF_PLANE or 50 <= spread <= ran - 50
+
+
+# diameter pairs off the real axis, with their 50-digit midpoints
+@pytest.mark.parametrize(
+    "x, y, zref",
+    [
+        ((0.1, 0.1), (0.3, 0.3), (0.20445325844925147, 0.20445325844925147)),
+        ((0.0, 0.2), (0.0, 0.6), (0.0, 0.42020410288672877)),
+    ],
+)
+def test_b2_case1_script_off_the_real_axis(x, y, zref):
+    bind = {"x": Point2(*x), "y": Point2(*y), "zexp": Point2(*zref)}
+    result = script.evaluate(_corpus_program("b2_case1.hgc"), bind=bind)
+    assert result.all_assertions_pass(), result.assertions
+    ((_, z),) = result.outputs
+    assert (z - Point2(*zref)).norm() <= 1e-15
+
+
+def test_b2_chain_script_off_the_real_axis():
+    result = script.evaluate(_corpus_program("b2_chain.hgc"), bind={"x1": Point2(-0.3, 0.1)})
+    (_, x2), (_, x3) = result.outputs
+    assert (x2 - Point2(-0.5454545454545454, 0.18181818181818182)).norm() <= 1e-9
+    assert (x3 - Point2(-0.7153846153846154, 0.23846153846153847)).norm() <= 1e-9
+
+
+SIDE_SOURCE = OP_PRELUDE + (
+    "p = intersect(perp(L, origin), C) select left of L\n"
+    "q = intersect(perp(L, origin), C) select right of line(x, origin)\n"
+    "geodesic G = geodesic(b2, x, origin)\n"
+    "r = intersect(perp(L, origin), C) select left of G\n"  # a geodesic stands for its line
+)
+
+
+def test_side_selectors_round_trip_and_pick_mirror_roots():
+    program = script.parse(SIDE_SOURCE)
+    text = script.format_program(program)
+    assert text == SIDE_SOURCE
+    assert script.parse(text) == program
+    env = script.evaluate(program).bindings
+    line = env["L"]
+    assert line.residual(env["p"]) == pytest.approx(0.5) and line.residual(env["q"]) == pytest.approx(-0.5)
+    assert env["r"] == env["p"]
+    with pytest.raises(script.RuntimeGeometryError) as err:  # both roots lie left of the line x1 = 2
+        script.evaluate(script.parse(OP_PRELUDE + "p = intersect(L, C) select left of line((2.0, 0.0), (2.0, 1.0))\n"))
+    assert str(err.value.cause) == "selector 'left' matched 2 of 2 intersection points"
+
+
+def test_side_selector_of_a_circle_exits_1_from_script_run(capsys, tmp_path):
+    path = tmp_path / "side.hgc"
+    path.write_text(OP_PRELUDE + "p = intersect(L, C) select left of C\n", encoding="utf-8")
+    assert cli.main(["script", "run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 4 (p = intersect(L, C) select left of C): expected a line, got Circle2\n"
 
 
 def diagnosis(source: str) -> tuple:
@@ -380,7 +480,7 @@ def diagnosis(source: str) -> tuple:
 SYNTAX = script.ScriptSyntaxError
 ALL_FNS = tuple(sorted(OPS))
 ARGUMENT = ("name", "number", "(", ")")
-SELECTORS = ("upper", "in_disk", "boundary", "nearest", "nearer")
+SELECTORS = ("upper", "in_disk", "boundary", "nearest", "nearer", "left", "right")
 STATEMENTS = ("point", "line", "circle", "geodesic", "assert", "output", "name")
 
 # each fixture's whole diagnosis: (type, line, column, found, expected), or (type, line, name)
